@@ -22,7 +22,9 @@
 // bar for the cluster hot path.
 //
 // Emits BENCH_cluster.json (schema row "cluster_scaling" in
-// tools/bench_diff.py). --smoke caps the grid for CI.
+// tools/bench_diff.py). --smoke caps the grid at 2/4 nodes for CI and
+// tags the file "smoke": true, which bench_diff.py refuses to compare
+// with a full run.
 #include "bench_common.hpp"
 
 #include <cstring>
@@ -238,6 +240,7 @@ int main(int argc, char** argv) {
   doc["per_node"] = "4 cpus + 1 gpu";
   doc["locality_wins_at_scale"] = locality_wins_at_scale;
   doc["weak_within_2x"] = weak_within_bound;
+  doc["smoke"] = smoke;
   doc["runs"] = std::move(runs);
   std::ofstream out("BENCH_cluster.json");
   out << doc.dump_pretty() << '\n';

@@ -2,7 +2,7 @@
 // submit → dependency release → schedule → complete path on synthetic
 // DAGs of 10^5–10^6 near-zero-cost tasks (the paper's "runtime overhead
 // stays negligible as workflows grow" claim, measured instead of
-// assumed). Three shapes stress different parts of the bookkeeping:
+// assumed). Four shapes stress different parts of the bookkeeping:
 //
 //   chain    — 1 handle, every task RW: pure sequential release, the
 //              event queue and completion path dominate;
@@ -14,8 +14,8 @@
 //              all at full tilt);
 //   burst    — repeated barrier + wide fan-out on one handle: with 8
 //              identical CPUs and identical task costs, completions land
-//              8-at-a-time on identical timestamps, the stress case for
-//              the batched completion drain (EventQueue::drain_ready).
+//              8-at-a-time on identical timestamps, so every completion
+//              of a storm pays its own scheduler pump.
 //
 // Host wall-clock is the measurand (simulated results stay seed-exact;
 // checked by the determinism suites, not here). Emits BENCH_core.json so
@@ -65,9 +65,6 @@ core::RuntimeOptions lean_options(std::size_t expected_tasks = 0,
   core::RuntimeOptions options;
   options.record_trace = false;      // measuring the runtime, not the tracer
   options.use_history_model = false; // static cost model only
-  // The throughput configuration this bench exists to track: one
-  // scheduler probe per completion batch instead of per event.
-  options.batch_completions = true;
   // Capacity hints: generators know their exact task/handle counts, so
   // the pools are pre-faulted in the (untimed) constructor — the timed
   // region measures steady-state per-task cost, not one-time allocation.
@@ -219,9 +216,8 @@ ShapeResult run_layered(const hw::Platform& platform, std::size_t n,
 /// burst: repeated (barrier RW, W readers) rounds on a single handle.
 /// Every reader in a round has identical cost and the preset CPUs are
 /// identical, so one completion event fires per device at the exact same
-/// timestamp — the event queue spends the whole run in same-time batches
-/// and the batched drain (drain_ready + one scheduler probe per batch)
-/// is what separates it from the per-event path.
+/// timestamp — the event queue spends the whole run in same-time
+/// batches, each completion followed by its own scheduler pump.
 ShapeResult run_burst(const hw::Platform& platform, std::size_t n,
                       std::size_t width = 512) {
   core::Runtime rt(platform, sched::make_scheduler("eager"),

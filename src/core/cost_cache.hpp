@@ -19,7 +19,8 @@
 // analytic model evaluates (not its reciprocal; multiply-by-reciprocal
 // rounds differently than divide), and the history term caches the mean
 // seconds-per-flop, whose product with flops is precisely
-// HistoryModel::estimate(). Property-tested in tests/core_memo_test.cpp.
+// HistoryModel::estimate(). Checked per call against the direct formula
+// by the test oracle in tests/memo_oracle.hpp.
 //
 // Invalidation: history drift is tracked automatically through
 // HistoryModel::version() (each entry snapshots the generation it read).

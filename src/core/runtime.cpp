@@ -476,20 +476,7 @@ sim::SimTime Runtime::wait_all() {
           .time_weighted("event_queue_depth")
           .update(queue_.now(), static_cast<double>(queue_.pending()));
     }
-    // Batched mode drains the whole same-timestamp completion batch and
-    // pumps the schedulers once at its end (request_pump defers the
-    // per-completion pump_all into pump_deferred_); legacy mode steps
-    // one event and pumps inside the callback as before.
-    const bool ran = options_.batch_completions ? queue_.drain_ready() > 0
-                                                : queue_.step();
-    if (!ready_batch_.empty()) {
-      flush_ready_batch();
-    }
-    if (pump_deferred_) {
-      pump_deferred_ = false;
-      pump_all();
-    }
-    if (!ran) {
+    if (!queue_.step()) {
       // Drained with work outstanding: give pull-mode schedulers one more
       // chance, then declare deadlock.
       pump_all();
@@ -532,7 +519,7 @@ void Runtime::ready_or_defer(Task& task) {
       deferred_.erase(task.id());
       if (task.state() == TaskState::Submitted) {
         make_ready(task);
-        request_pump();
+        pump_all();
       }
     });
     return;
@@ -587,38 +574,6 @@ void Runtime::pump_all() {
   for (hw::DeviceId id = 0; id < device_states_.size(); ++id) {
     pump_device(id);
   }
-}
-
-void Runtime::request_pump() {
-  if (options_.batch_completions) {
-    // Inside a drain batch: wait_all() pumps once after the whole
-    // same-timestamp batch has been processed.
-    pump_deferred_ = true;
-    return;
-  }
-  pump_all();
-}
-
-void Runtime::flush_ready_batch() {
-  // Two concerns meet here. Correctness: a fail/abandon event later in
-  // the same drained batch may have doomed an id recorded earlier, so
-  // each task is re-checked against the dense state mirror. Throughput:
-  // the Ready transition is the first touch of a Task object placed at
-  // the whim of submission order, so the batch is walked with the
-  // objects prefetched a few iterations ahead — scattered stalls become
-  // pipelined misses.
-  constexpr std::size_t kPrefetchAhead = 8;
-  for (std::size_t i = 0; i < ready_batch_.size(); ++i) {
-    if (i + kPrefetchAhead < ready_batch_.size()) {
-      util::prefetch_range_write(&tasks_[ready_batch_[i + kPrefetchAhead]],
-                                 sizeof(Task));
-    }
-    const TaskId id = ready_batch_[i];
-    if (task_states_[id] == TaskState::Submitted) {
-      ready_or_defer(tasks_[id]);
-    }
-  }
-  ready_batch_.clear();
 }
 
 void Runtime::pump_device(hw::DeviceId id) {
@@ -918,15 +873,7 @@ void Runtime::finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
       std::uint32_t& open = deps_open_[dependent_id];
       HETFLOW_REQUIRE(open > 0);
       if (--open == 0 && task_states_[dependent_id] == TaskState::Submitted) {
-        if (options_.batch_completions) {
-          // Deferred like the pump: the ids accumulate over the drained
-          // batch and flush_ready_batch() releases them together, so the
-          // scattered Task objects can be prefetched ahead. Same release
-          // order; the scheduler just sees the batch's completions first.
-          ready_batch_.push_back(dependent_id);
-        } else {
-          ready_or_defer(tasks_[dependent_id]);
-        }
+        ready_or_defer(tasks_[dependent_id]);
       }
     }
   }
@@ -950,7 +897,7 @@ void Runtime::finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
       release_parked();
     }
   }
-  request_pump();
+  pump_all();
 }
 
 void Runtime::fail_task(Task& task, hw::DeviceId id, sim::SimTime started,
@@ -1000,7 +947,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
   if (options_.retry.on_exhausted == ExhaustionPolicy::Drop &&
       task.attempts() >= effective_max_attempts()) {
     abandon_task(task);
-    request_pump();
+    pump_all();
     return;
   }
 
@@ -1015,7 +962,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
   }
   if (delay <= 0.0) {
     requeue_attempt(task, id);
-    request_pump();
+    pump_all();
     return;
   }
   set_task_state(task, TaskState::Ready);  // in backoff limbo, owned by no queue
@@ -1024,7 +971,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
       return;  // abandoned while backing off
     }
     requeue_attempt(task, id);
-    request_pump();
+    pump_all();
   });
 }
 
@@ -1313,7 +1260,7 @@ void Runtime::fail_node(const NodeFault& fault) {
       }
     }));
   }
-  request_pump();
+  pump_all();
 }
 
 void Runtime::recover_datum(data::DataId data) {
@@ -1533,39 +1480,11 @@ std::size_t Runtime::effective_max_attempts() const noexcept {
 
 double Runtime::exec_estimate(const Task& task, const hw::Device& device,
                               std::optional<std::size_t> dvfs) const {
-  if (!options_.memoize_costs) {
-    // Reference path: the pre-memoization computation, kept verbatim as
-    // the oracle for the memo-vs-direct bitwise property test.
-    if (!task.codelet().supports(device.type())) {
-      return std::numeric_limits<double>::infinity();
-    }
-    // A device whose memory cannot hold the task's working set even when
-    // empty is not a feasible target; cost-model policies route around it.
-    std::uint64_t working_set = 0;
-    for (const data::Access& access : task.accesses()) {
-      working_set += data_.registry().handle(access.data).bytes;
-    }
-    if (working_set >
-        platform_->memory_node(device.memory_node()).capacity_bytes()) {
-      return std::numeric_limits<double>::infinity();
-    }
-    double pure = -1.0;
-    if (options_.use_history_model) {
-      pure =
-          history_.estimate(task.codelet().id(), device.type(), task.flops());
-    }
-    if (pure < 0.0) {
-      pure = task.codelet().compute_seconds(device, task.flops());
-    }
-    const std::size_t index = dvfs.value_or(device.nominal_dvfs_index());
-    return device.launch_overhead_s() + pure * device.time_scale(index);
-  }
-
-  // Memoized path — bitwise-identical to the reference above: the entry
-  // caches the exact analytic denominator (divided per call, never its
-  // reciprocal) and the calibrated mean seconds-per-flop under the
-  // history model's current version; the working set was summed once at
-  // submit in the same access order.
+  // The entry caches the exact analytic denominator (divided per call,
+  // never its reciprocal) and the calibrated mean seconds-per-flop under
+  // the history model's current version; the working set was summed once
+  // at submit in access order. tests/memo_oracle.hpp checks every
+  // scheduler-visible estimate against the direct formula bit for bit.
   const CostModelCache::Entry& entry = cost_cache_.entry(
       task.codelet(), device,
       options_.use_history_model ? &history_ : nullptr);
@@ -1573,6 +1492,8 @@ double Runtime::exec_estimate(const Task& task, const hw::Device& device,
     return std::numeric_limits<double>::infinity();
   }
   if (task.working_set_bytes() > entry.capacity_bytes) {
+    // Even an empty device memory cannot hold the working set: not a
+    // feasible target, and cost-model policies route around it.
     return std::numeric_limits<double>::infinity();
   }
   double pure = 0.0;

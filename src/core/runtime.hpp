@@ -71,6 +71,9 @@ struct NodeFault {
   double recover_after = -1.0;
 };
 
+/// Per-run knobs. The engine itself has none: completions are processed
+/// one event at a time with a scheduler pump after each, and cost
+/// estimates always go through the CostModelCache (core/cost_cache.hpp).
 struct RuntimeOptions {
   std::uint64_t seed = 42;
   /// Coefficient of variation of lognormal execution-time noise
@@ -108,21 +111,6 @@ struct RuntimeOptions {
   /// and the scheduler decision log — surfaced via recorder(). Off by
   /// default; the off path leaves every legacy output byte-identical.
   bool metrics = false;
-  /// Drain same-timestamp completion batches through
-  /// EventQueue::drain_ready() and probe the schedulers once per batch
-  /// instead of once per completion. Deterministic for a given seed, but
-  /// NOT stream-identical to the unbatched engine: deferring the pump
-  /// changes which device pulls which ready task within a timestamp, so
-  /// it is opt-in to keep legacy traces byte-for-byte (the throughput
-  /// benches and batching tests turn it on; see docs/performance.md).
-  bool batch_completions = false;
-  /// Memoize the per-(codelet, device) cost-model terms (analytic
-  /// denominator, capacity bound, calibrated seconds-per-flop) behind
-  /// estimate_exec_seconds/estimate_completion/estimate_energy.
-  /// Bitwise-identical to the direct computation (property-tested in
-  /// tests/core_memo_test.cpp); the off switch exists as the reference
-  /// path for that proof.
-  bool memoize_costs = true;
   /// Capacity hints: expected task / data-handle counts for this run
   /// (0 = unknown). When set, the constructor pre-allocates and
   /// pre-faults the per-task and per-handle pools so the submit loop
@@ -358,13 +346,6 @@ class Runtime {
   bool node_faults_scheduled_ = false;
   RunStats stats_;
   bool prepared_anything_ = false;
-  /// Batched mode only: tasks released by the current completion batch,
-  /// handed to the scheduler together once the batch has drained (see
-  /// flush_ready_batch). Member, not a local, to reuse its capacity.
-  std::vector<TaskId> ready_batch_;
-  /// Set by request_pump() inside event callbacks while a batched drain
-  /// is in flight; wait_all() pumps once per drained batch.
-  bool pump_deferred_ = false;
   /// Memoized cost-model terms (mutable: a cache behind the logically
   /// const exec_estimate).
   mutable CostModelCache cost_cache_;
@@ -383,14 +364,6 @@ class Runtime {
                        std::optional<std::size_t> dvfs);
   void pump_device(hw::DeviceId id);
   void pump_all();
-  /// Hands every task in ready_batch_ to the scheduler (batched mode:
-  /// completions only record released ids; the Ready transitions happen
-  /// here, once per drained batch, with the scattered Task objects
-  /// prefetched a few iterations ahead).
-  void flush_ready_batch();
-  /// pump_all(), or — with batch_completions, from inside an event
-  /// callback — a deferral of it to the end of the current drain batch.
-  void request_pump();
   void start_next(hw::DeviceId id);
   /// Dispatches `task` on device `id` (shared tail of start_next and the
   /// fused pull path in pump_device): attempt accounting, data acquire,

@@ -9,8 +9,6 @@ namespace hetflow::obs {
 
 namespace {
 
-constexpr std::int64_t kTransferTidBase = 1000;
-
 const char* span_kind_name(trace::SpanKind kind) noexcept {
   switch (kind) {
     case trace::SpanKind::Exec:
@@ -87,7 +85,7 @@ std::string chrome_trace_json(const trace::Tracer& tracer,
     }
   }
 
-  // Execution spans (identical shape to the legacy exporter).
+  // Execution spans: one "X" event per span on its device track.
   // Remember each task's first successful span for decision flows.
   std::unordered_map<std::uint64_t, const trace::Span*> first_exec;
   for (const trace::Span& span : tracer.spans()) {

@@ -15,6 +15,7 @@
 // there" across tracks.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "hw/platform.hpp"
@@ -23,8 +24,12 @@
 
 namespace hetflow::obs {
 
+/// First tid of the transfer tracks; every tid below it is a device.
+inline constexpr std::int64_t kTransferTidBase = 1000;
+
 /// Serializes the merged trace. `recorder` may be null — the output then
-/// degrades to the legacy span-only document (plus process metadata).
+/// holds the process and device metadata and the execution spans only
+/// (what hetflow_run --trace-json writes).
 std::string chrome_trace_json(const trace::Tracer& tracer,
                               const hw::Platform& platform,
                               const Recorder* recorder);

@@ -227,7 +227,6 @@ BatchResult ServeEngine::run_batch() {
   // One fresh runtime per batch on the shared platform (see header).
   core::RuntimeOptions options;
   options.seed = util::hash_combine(config_.seed, batches_);
-  options.batch_completions = true;
   options.validate = config_.validate;
   std::size_t expected_tasks = 0;
   for (const JobRef ref : released) {

@@ -142,47 +142,6 @@ bool EventQueue::step() {
   return false;
 }
 
-std::size_t EventQueue::drain_ready() {
-  // Find the live head (skipping carcasses without advancing time) to
-  // learn the batch timestamp.
-  while (!heap_.empty() && !is_live(heap_.front().id)) {
-    pop_top();
-    assert(carcasses_ > 0 && "dead heap entry with no carcass counted");
-    --carcasses_;
-  }
-  if (heap_.empty()) {
-    return 0;
-  }
-  const SimTime batch_time = heap_.front().when;
-  std::size_t ran = 0;
-  // Callbacks may schedule new events at batch_time (they join the batch,
-  // FIFO by seq) or cancel pending ones — including events already IN
-  // this batch (a completion's finish path cancelling the same-timestamp
-  // retry watchdog, or the watchdog cancelling the completion). The
-  // cancelled-carcass check below is the only delivery gate, and it is
-  // authoritative: cancel() retires the slot (bumping its generation),
-  // so take_callback's is_live test rejects the dead id no matter when
-  // within the batch the cancel landed. A mid-drain compact() is safe
-  // because the heap front is re-read each iteration, and it cannot
-  // desynchronize the carcass count: compact() removes every dead entry
-  // and zeroes carcasses_ together, so each dead entry popped here was
-  // counted exactly once (asserted below).
-  while (!heap_.empty() && heap_.front().when == batch_time) {
-    const Event event = pop_top();
-    Callback fn = take_callback(event.id);
-    if (!fn) {
-      assert(carcasses_ > 0 && "dead heap entry with no carcass counted");
-      --carcasses_;
-      continue;
-    }
-    now_ = event.when;
-    ++executed_;
-    ++ran;
-    fn();
-  }
-  return ran;
-}
-
 SimTime EventQueue::run() {
   while (step()) {
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace hetflow::trace {
@@ -12,42 +11,6 @@ void Tracer::add(Span span) {
     return;
   }
   spans_.push_back(std::move(span));
-}
-
-std::string Tracer::to_chrome_json(const hw::Platform& platform) const {
-  util::Json events = util::Json::array();
-  for (const hw::Device& device : platform.devices()) {
-    util::Json meta = util::Json::object();
-    meta["ph"] = "M";
-    meta["name"] = "thread_name";
-    meta["pid"] = 1;
-    meta["tid"] = static_cast<std::int64_t>(device.id());
-    util::Json args = util::Json::object();
-    args["name"] = device.name();
-    meta["args"] = std::move(args);
-    events.push_back(std::move(meta));
-  }
-  for (const Span& span : spans_) {
-    util::Json event = util::Json::object();
-    event["ph"] = "X";
-    event["name"] = span.name;
-    event["pid"] = 1;
-    event["tid"] = static_cast<std::int64_t>(span.device);
-    event["ts"] = span.start * 1e6;          // microseconds
-    event["dur"] = span.duration() * 1e6;
-    util::Json args = util::Json::object();
-    args["task"] = static_cast<std::int64_t>(span.task_id);
-    args["kind"] = span.kind == SpanKind::Exec
-                       ? "exec"
-                       : (span.kind == SpanKind::FailedExec ? "failed"
-                                                            : "overhead");
-    event["args"] = std::move(args);
-    events.push_back(std::move(event));
-  }
-  util::Json doc = util::Json::object();
-  doc["traceEvents"] = std::move(events);
-  doc["displayTimeUnit"] = "ms";
-  return doc.dump();
 }
 
 std::string Tracer::ascii_gantt(const hw::Platform& platform,

@@ -1,6 +1,6 @@
 // Execution tracing: every task execution (and failed attempt) becomes a
-// span; exports to Chrome trace-event JSON (load in chrome://tracing or
-// Perfetto) and to a quick ASCII Gantt for terminals.
+// span; renders a quick ASCII Gantt for terminals. The Chrome trace-event
+// export (chrome://tracing, Perfetto) is obs::chrome_trace_json.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +39,6 @@ class Tracer {
   void add(Span span);
   const std::vector<Span>& spans() const noexcept { return spans_; }
   void clear() { spans_.clear(); }
-
-  /// Chrome trace-event format ("X" complete events, one row per device).
-  std::string to_chrome_json(const hw::Platform& platform) const;
 
   /// Terminal Gantt chart: one row per device, `width` characters across
   /// the makespan. '#' = executing, 'x' = failed attempt.

@@ -1,11 +1,13 @@
-// The cost-model cache (core/cost_cache.hpp) and the batched completion
-// drain are performance features with a correctness contract: with
-// memoize_costs on, every scheduler must make the exact same decisions
-// it would make recomputing costs from scratch — proven here by byte
-// comparison of every serialized artifact — and with batch_completions
-// on, every run must still pass the full end-of-run audit.
+// The cost-model cache (core/cost_cache.hpp) is a performance feature
+// with a correctness contract: every estimate a scheduler sees must be
+// bitwise equal to the direct cost formula. MemoOracle (memo_oracle.hpp)
+// checks that per call, under every registered scheduler, with and
+// without the history model. The single completion engine must also pass
+// the full end-of-run audit under every scheduler and under a
+// cancel-heavy fault load.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "helpers.hpp"
 #include "hw/failure.hpp"
 #include "hw/presets.hpp"
+#include "memo_oracle.hpp"
 #include "obs/chrome_trace.hpp"
 #include "sched/registry.hpp"
 #include "trace/report.hpp"
@@ -39,9 +42,77 @@ struct Artifacts {
   }
 };
 
-Artifacts run_cell(const std::string& scheduler, bool memoize,
-                   bool use_history, std::uint64_t seed) {
+/// One run, its artifacts and (when the oracle was on) its verdict.
+struct Checked {
+  Artifacts artifacts;
+  std::uint64_t checks = 0;
+  std::uint64_t mismatches = 0;
+  std::string first_mismatch;
+};
+
+using Submit = std::function<void(core::Runtime&)>;
+
+void submit_montage(core::Runtime& rt) {
+  workflow::submit_workflow(rt, workflow::make_montage(10),
+                            workflow::CodeletLibrary::standard());
+}
+
+/// Two montage waves over one codelet library: the second wave's
+/// estimates read cache entries filled during the first, after the
+/// history model has calibrated those codelets, so a stale entry shows.
+void submit_two_waves(core::Runtime& rt) {
+  const workflow::CodeletLibrary lib = workflow::CodeletLibrary::standard();
+  workflow::submit_workflow(rt, workflow::make_montage(10), lib);
+  rt.wait_all();
+  workflow::submit_workflow(rt, workflow::make_montage(10), lib);
+}
+
+/// 40 independent CPU/GPU tasks: with a high GPU fault rate this drives
+/// quarantine, probation and recovery.
+void submit_independent(core::Runtime& rt) {
+  for (int i = 0; i < 40; ++i) {
+    rt.submit("t" + std::to_string(i), hetflow::testing::cpu_gpu_codelet(),
+              4e9, {});
+  }
+}
+
+/// Runs `submit` on the workstation under `scheduler`, wrapped in the
+/// MemoOracle unless `with_oracle` is false. options.metrics must be on.
+Checked run_checked(const std::string& scheduler,
+                    const core::RuntimeOptions& options,
+                    const Submit& submit = submit_montage,
+                    bool with_oracle = true) {
   const hw::Platform p = hw::make_workstation();
+  std::unique_ptr<core::Scheduler> policy =
+      sched::make_scheduler(scheduler, options.seed);
+  testing::MemoOracle* oracle = nullptr;
+  if (with_oracle) {
+    auto wrapped = std::make_unique<testing::MemoOracle>(std::move(policy));
+    oracle = wrapped.get();
+    policy = std::move(wrapped);
+  }
+  core::Runtime rt(p, std::move(policy), options);
+  if (oracle != nullptr) {
+    oracle->bind(rt, options.use_history_model);
+  }
+  submit(rt);
+  rt.wait_all();
+  Checked out;
+  out.artifacts.spans_csv = trace::spans_to_csv(rt.tracer());
+  out.artifacts.metrics_json = rt.recorder()->metrics().to_json_string();
+  out.artifacts.metrics_csv = rt.recorder()->metrics().to_csv();
+  out.artifacts.chrome_trace =
+      obs::chrome_trace_json(rt.tracer(), p, rt.recorder());
+  out.artifacts.decisions = rt.recorder()->decisions_jsonl(p);
+  if (oracle != nullptr) {
+    out.checks = oracle->checks();
+    out.mismatches = oracle->mismatches();
+    out.first_mismatch = oracle->first_mismatch();
+  }
+  return out;
+}
+
+core::RuntimeOptions noisy_options(std::uint64_t seed, bool use_history) {
   core::RuntimeOptions options;
   options.metrics = true;
   options.seed = seed;
@@ -50,95 +121,81 @@ Artifacts run_cell(const std::string& scheduler, bool memoize,
   // cache's generation-based invalidation.
   options.noise_cv = 0.2;
   options.use_history_model = use_history;
-  options.memoize_costs = memoize;
-  core::Runtime rt(p, sched::make_scheduler(scheduler), options);
-  workflow::submit_workflow(rt, workflow::make_montage(10),
-                            workflow::CodeletLibrary::standard());
-  rt.wait_all();
-  Artifacts out;
-  out.spans_csv = trace::spans_to_csv(rt.tracer());
-  out.metrics_json = rt.recorder()->metrics().to_json_string();
-  out.metrics_csv = rt.recorder()->metrics().to_csv();
-  out.chrome_trace = obs::chrome_trace_json(rt.tracer(), p, rt.recorder());
-  out.decisions = rt.recorder()->decisions_jsonl(p);
-  return out;
+  return options;
 }
 
-// The tentpole property: for EVERY registered scheduler, a memoized run
-// serializes byte-identically to a direct-recompute run — span CSV,
-// metrics JSON/CSV, Chrome trace and decision log. Any drift (a cached
-// reciprocal instead of the exact division, a stale history entry) shows
-// up as a first-divergence in one of these strings.
-TEST(CostMemoization, MemoizedMatchesDirectAcrossAllSchedulers) {
+/// Policies that never ask for a cost estimate (a central queue, random
+/// or cyclic placement); every other registered scheduler must be checked.
+bool estimate_free(const std::string& scheduler) {
+  return scheduler == "eager" || scheduler == "random" ||
+         scheduler == "round-robin";
+}
+
+/// The oracle sweep: for EVERY registered scheduler, every estimate the
+/// policy asks for is bitwise equal to the direct formula, and wrapping
+/// the policy in the oracle leaves every serialized artifact unchanged
+/// (the oracle observed the same run a plain one makes).
+void expect_oracle_clean_sweep(bool use_history, std::uint64_t seed) {
   for (const std::string& scheduler : sched::scheduler_names()) {
-    const Artifacts direct = run_cell(scheduler, false, true, 7);
-    const Artifacts memoized = run_cell(scheduler, true, true, 7);
-    EXPECT_TRUE(memoized == direct) << scheduler;
-    // Spans always exist; decision logs only for the policies that emit
-    // them (the list schedulers decide at plan time, off the hot path).
-    EXPECT_FALSE(direct.spans_csv.empty()) << scheduler;
+    const core::RuntimeOptions options = noisy_options(seed, use_history);
+    const Checked checked =
+        run_checked(scheduler, options, submit_two_waves);
+    EXPECT_EQ(checked.mismatches, 0u)
+        << scheduler << ": " << checked.first_mismatch;
+    if (!estimate_free(scheduler)) {
+      EXPECT_GT(checked.checks, 0u) << scheduler;
+    }
+    const Checked plain =
+        run_checked(scheduler, options, submit_two_waves, false);
+    EXPECT_TRUE(plain.artifacts == checked.artifacts) << scheduler;
+    EXPECT_FALSE(plain.artifacts.spans_csv.empty()) << scheduler;
   }
 }
 
-// Same property with the history model off: only the analytic path
-// (peak_gflops * efficiency denominator, launch overhead, DVFS scaling)
-// is exercised, so a regression localizes to the static terms.
-TEST(CostMemoization, MemoizedMatchesDirectOnStaticModelOnly) {
-  for (const std::string& scheduler :
-       {std::string("mct"), std::string("dmda"), std::string("heft"),
-        std::string("energy-edp")}) {
-    const Artifacts direct = run_cell(scheduler, false, false, 11);
-    const Artifacts memoized = run_cell(scheduler, true, false, 11);
-    EXPECT_TRUE(memoized == direct) << scheduler;
-  }
+TEST(CostMemoization, EstimatesMatchDirectFormulaAcrossAllSchedulers) {
+  expect_oracle_clean_sweep(/*use_history=*/true, 7);
 }
 
-// History recalibration invalidates the cache mid-run: two runs of the
-// same seeded workload must agree with themselves (repeatability) and
-// with the direct path even as record() bumps the model generation after
-// every completion. A stale cache would freeze estimates at the first
-// generation and diverge from the direct run's decisions.
+// History model off: only the analytic path (peak_gflops * efficiency
+// denominator, launch overhead, DVFS scaling) is exercised, so a
+// regression localizes to the static terms.
+TEST(CostMemoization, EstimatesMatchDirectFormulaOnStaticModelOnly) {
+  expect_oracle_clean_sweep(/*use_history=*/false, 11);
+}
+
+// History recalibration refreshes the cache: record() bumps the model
+// generation after every completion, and a stale entry would serve a
+// pre-calibration estimate the oracle rejects (submit_two_waves). The
+// run must also agree with itself.
 TEST(CostMemoization, HistoryRecalibrationInvalidatesBetweenDecisions) {
-  const Artifacts first = run_cell("dmdas", true, true, 3);
-  const Artifacts second = run_cell("dmdas", true, true, 3);
-  EXPECT_TRUE(first == second);
-  const Artifacts direct = run_cell("dmdas", false, true, 3);
-  EXPECT_TRUE(first == direct);
+  const core::RuntimeOptions options = noisy_options(3, true);
+  const Checked first = run_checked("dmdas", options, submit_two_waves);
+  const Checked second = run_checked("dmdas", options, submit_two_waves);
+  EXPECT_TRUE(first.artifacts == second.artifacts);
+  EXPECT_GT(first.checks, 0u);
+  EXPECT_EQ(first.mismatches, 0u) << first.first_mismatch;
 }
 
-// Fault injection stacks retries and blacklisting on top of the cache;
-// the memoized and direct paths must keep agreeing byte-for-byte when
-// estimates feed the retry/requeue machinery, not just the happy path.
-TEST(CostMemoization, MemoizedMatchesDirectUnderFaultInjection) {
-  const auto run = [](bool memoize) {
-    const hw::Platform p = hw::make_workstation();
-    core::RuntimeOptions options;
-    options.metrics = true;
-    options.seed = 13;
-    options.noise_cv = 0.3;
-    options.failure_model = hw::FailureModel::uniform(0.3);
-    options.memoize_costs = memoize;
-    core::Runtime rt(p, sched::make_scheduler("dmda"), options);
-    workflow::submit_workflow(rt, workflow::make_montage(10),
-                              workflow::CodeletLibrary::standard());
-    rt.wait_all();
-    Artifacts out;
-    out.spans_csv = trace::spans_to_csv(rt.tracer());
-    out.metrics_json = rt.recorder()->metrics().to_json_string();
-    out.metrics_csv = rt.recorder()->metrics().to_csv();
-    out.chrome_trace = obs::chrome_trace_json(rt.tracer(), p, rt.recorder());
-    out.decisions = rt.recorder()->decisions_jsonl(p);
-    return out;
-  };
-  EXPECT_TRUE(run(true) == run(false));
+// Fault injection stacks retries on top of the cache; the estimates
+// must keep matching when they feed the retry/requeue machinery, not
+// just the happy path.
+TEST(CostMemoization, EstimatesMatchDirectFormulaUnderFaultInjection) {
+  core::RuntimeOptions options;
+  options.metrics = true;
+  options.seed = 13;
+  options.noise_cv = 0.3;
+  options.failure_model = hw::FailureModel::uniform(0.3);
+  const Checked checked = run_checked("dmda", options);
+  EXPECT_NE(checked.artifacts.metrics_json.find("failed_attempts"),
+            std::string::npos);
+  EXPECT_GT(checked.checks, 0u);
+  EXPECT_EQ(checked.mismatches, 0u) << checked.first_mismatch;
 }
 
-// Batched completion drain under full audit: every scheduler finishes a
-// generated workflow with batch_completions + memoize_costs on, with the
-// end-of-run validator (race detector, coherence and trace invariants)
-// live. Batching is NOT required to be stream-identical to the per-event
-// pump — it is required to be *correct*, which is what validate proves.
-TEST(BatchedCompletions, ValidateCleanSweepAcrossAllSchedulers) {
+// The single completion engine under full audit: every scheduler
+// finishes a generated workflow with the end-of-run validator (race
+// detector, coherence and trace invariants) live.
+TEST(CompletionEngine, ValidateCleanSweepAcrossAllSchedulers) {
   for (const std::string& scheduler : sched::scheduler_names()) {
     const hw::Platform p = hw::make_workstation();
     core::RuntimeOptions options;
@@ -146,8 +203,6 @@ TEST(BatchedCompletions, ValidateCleanSweepAcrossAllSchedulers) {
     options.noise_cv = 0.1;
     options.validate = true;
     options.metrics = true;
-    options.batch_completions = true;
-    options.memoize_costs = true;
     core::Runtime rt(p, sched::make_scheduler(scheduler), options);
     const workflow::Workflow wf = workflow::make_montage(10);
     workflow::submit_workflow(rt, wf, workflow::CodeletLibrary::standard());
@@ -156,42 +211,14 @@ TEST(BatchedCompletions, ValidateCleanSweepAcrossAllSchedulers) {
   }
 }
 
-// Batched drain is deterministic in its own right: the same seeded run
-// with batching on twice produces identical artifacts (batching may
-// reorder relative to the per-event pump, but never relative to itself).
-TEST(BatchedCompletions, BatchedRunsAreByteReproducible) {
-  const auto run = [] {
-    const hw::Platform p = hw::make_workstation();
-    core::RuntimeOptions options;
-    options.metrics = true;
-    options.seed = 17;
-    options.noise_cv = 0.2;
-    options.batch_completions = true;
-    core::Runtime rt(p, sched::make_scheduler("work-stealing"), options);
-    workflow::submit_workflow(rt, workflow::make_montage(10),
-                              workflow::CodeletLibrary::standard());
-    rt.wait_all();
-    Artifacts out;
-    out.spans_csv = trace::spans_to_csv(rt.tracer());
-    out.metrics_json = rt.recorder()->metrics().to_json_string();
-    out.metrics_csv = rt.recorder()->metrics().to_csv();
-    out.chrome_trace = obs::chrome_trace_json(rt.tracer(), p, rt.recorder());
-    out.decisions = rt.recorder()->decisions_jsonl(p);
-    return out;
-  };
-  EXPECT_TRUE(run() == run());
-}
-
-// Cancel-heavy batched drain: with a per-attempt timeout every dispatch
+// Cancel-heavy fault run: with a per-attempt timeout every dispatch
 // arms a watchdog that the completion path cancels (one carcass per
-// successful attempt, many landing inside drained batches), and the
-// fail-silent hang fraction makes the race go the other way too — the
-// watchdog fires and cancels the hung completion event. With
-// batch_completions=true this is exactly the drain_ready + lazy-cancel
-// interaction under real load. The full audit (validate) plus exact
-// completion counts prove no cancelled event delivered and no task was
-// lost; a second identical run proves the path is self-reproducible.
-TEST(BatchedCompletions, CancelHeavyFaultRunValidatesCleanAndReproduces) {
+// successful attempt), and the fail-silent hang fraction makes the race
+// go the other way too — the watchdog fires and cancels the hung
+// completion event. The full audit (validate) plus exact completion
+// counts prove no cancelled event delivered and no task was lost; a
+// second identical run proves the path is self-reproducible.
+TEST(CompletionEngine, CancelHeavyFaultRunValidatesCleanAndReproduces) {
   const auto run = [] {
     const hw::Platform p = hw::make_workstation();
     core::RuntimeOptions options;
@@ -207,13 +234,12 @@ TEST(BatchedCompletions, CancelHeavyFaultRunValidatesCleanAndReproduces) {
     options.retry.backoff_base_s = 0.01;
     options.retry.blacklist_after = 3;
     options.retry.probation_s = 1.0;
-    options.batch_completions = true;
-    options.memoize_costs = true;
     core::Runtime rt(p, sched::make_scheduler("dmda"), options);
     const workflow::Workflow wf = workflow::make_montage(10);
     workflow::submit_workflow(rt, wf, workflow::CodeletLibrary::standard());
     rt.wait_all();
     EXPECT_EQ(rt.stats().tasks_completed, wf.tasks().size());
+    EXPECT_GT(rt.stats().timeouts, 0u);
     return trace::spans_to_csv(rt.tracer()) +
            rt.recorder()->metrics().to_json_string();
   };
@@ -256,7 +282,6 @@ TEST(CostMemoization, BlacklistTransitionsInvalidateCache) {
   options.max_attempts = 500;
   options.retry.blacklist_after = 2;
   options.retry.probation_s = 2.0;
-  options.memoize_costs = true;
   core::Runtime rt(p, sched::make_scheduler("mct"), options);
   const std::uint64_t before = rt.cost_cache().invalidations();
   for (int i = 0; i < 40; ++i) {
@@ -272,39 +297,21 @@ TEST(CostMemoization, BlacklistTransitionsInvalidateCache) {
             before + rt.stats().blacklist_events);
 }
 
-// The regression the hook closes: a memoized blacklist-heavy run must
-// stay byte-identical to the direct-recompute path through quarantine,
-// probation and recovery — a stale memo surviving a health transition
-// would diverge in the decision log or span stream.
-TEST(CostMemoization, MemoizedMatchesDirectUnderBlacklisting) {
-  const auto run = [](bool memoize) {
-    const hw::Platform p = hw::make_workstation();
-    core::RuntimeOptions options;
-    options.metrics = true;
-    options.seed = 19;
-    options.noise_cv = 0.2;
-    options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);
-    options.failure_policy = core::FailurePolicy::Reschedule;
-    options.max_attempts = 500;
-    options.retry.blacklist_after = 2;
-    options.retry.probation_s = 2.0;
-    options.use_history_model = true;
-    options.memoize_costs = memoize;
-    core::Runtime rt(p, sched::make_scheduler("dmda"), options);
-    for (int i = 0; i < 40; ++i) {
-      rt.submit("t" + std::to_string(i), hetflow::testing::cpu_gpu_codelet(),
-                4e9, {});
-    }
-    rt.wait_all();
-    Artifacts out;
-    out.spans_csv = trace::spans_to_csv(rt.tracer());
-    out.metrics_json = rt.recorder()->metrics().to_json_string();
-    out.metrics_csv = rt.recorder()->metrics().to_csv();
-    out.chrome_trace = obs::chrome_trace_json(rt.tracer(), p, rt.recorder());
-    out.decisions = rt.recorder()->decisions_jsonl(p);
-    return out;
-  };
-  EXPECT_TRUE(run(true) == run(false));
+// The regression the hook closes: through quarantine, probation and
+// recovery every estimate must still match the direct formula — a stale
+// memo surviving a health transition would not.
+TEST(CostMemoization, EstimatesMatchDirectFormulaUnderBlacklisting) {
+  core::RuntimeOptions options = noisy_options(19, true);
+  options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);
+  options.failure_policy = core::FailurePolicy::Reschedule;
+  options.max_attempts = 500;
+  options.retry.blacklist_after = 2;
+  options.retry.probation_s = 2.0;
+  const Checked checked = run_checked("dmda", options, submit_independent);
+  EXPECT_NE(checked.artifacts.metrics_json.find("blacklist"),
+            std::string::npos);
+  EXPECT_GT(checked.checks, 0u);
+  EXPECT_EQ(checked.mismatches, 0u) << checked.first_mismatch;
 }
 
 // Capacity hints are pure reservation: a run with

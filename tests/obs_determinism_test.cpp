@@ -4,6 +4,7 @@
 // of worker threads, and never of whether a campaign was interrupted.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "exec/thread_pool.hpp"
 #include "hw/failure.hpp"
 #include "hw/presets.hpp"
+#include "memo_oracle.hpp"
 #include "obs/chrome_trace.hpp"
 #include "sched/registry.hpp"
 #include "util/strings.hpp"
@@ -38,18 +40,28 @@ struct Artifacts {
 
 /// One cell of the determinism grid: an instrumented run of a generated
 /// workflow with noise and fault injection live (the hardest case for
-/// byte-stability). `memoize` toggles the cost-model cache so the grid
-/// can cross-compare the memoized and direct estimate paths.
+/// byte-stability). With `oracle_checks` non-null the scheduler runs
+/// wrapped in the MemoOracle, every cost estimate must match the direct
+/// formula, and the number of estimates checked is stored there.
 Artifacts run_cell(const std::string& scheduler, std::uint64_t seed,
-                   bool memoize = true) {
+                   std::uint64_t* oracle_checks = nullptr) {
   const hw::Platform p = hw::make_workstation();
   core::RuntimeOptions options;
   options.metrics = true;
   options.seed = seed;
   options.noise_cv = 0.2;
   options.failure_model = hw::FailureModel::uniform(0.3);
-  options.memoize_costs = memoize;
-  core::Runtime rt(p, sched::make_scheduler(scheduler), options);
+  std::unique_ptr<core::Scheduler> policy = sched::make_scheduler(scheduler);
+  testing::MemoOracle* oracle = nullptr;
+  if (oracle_checks != nullptr) {
+    auto wrapped = std::make_unique<testing::MemoOracle>(std::move(policy));
+    oracle = wrapped.get();
+    policy = std::move(wrapped);
+  }
+  core::Runtime rt(p, std::move(policy), options);
+  if (oracle != nullptr) {
+    oracle->bind(rt, options.use_history_model);
+  }
   workflow::submit_workflow(rt, workflow::make_montage(10),
                             workflow::CodeletLibrary::standard());
   rt.wait_all();
@@ -58,6 +70,11 @@ Artifacts run_cell(const std::string& scheduler, std::uint64_t seed,
   out.metrics_csv = rt.recorder()->metrics().to_csv();
   out.chrome_trace = obs::chrome_trace_json(rt.tracer(), p, rt.recorder());
   out.decisions = rt.recorder()->decisions_jsonl(p);
+  if (oracle != nullptr) {
+    EXPECT_EQ(oracle->mismatches(), 0u)
+        << scheduler << " seed " << seed << ": " << oracle->first_mismatch();
+    *oracle_checks = oracle->checks();
+  }
   return out;
 }
 
@@ -104,11 +121,11 @@ TEST(ObsDeterminism, RepeatedRunsReproduceTheSameBytes) {
   EXPECT_TRUE(first == second);
 }
 
-// Cross-property: the cost-model cache (memoize_costs, the default) and
-// the direct recompute path serialize identical bytes even when the
-// memoized grid runs on an 8-worker pool and the direct grid serially —
-// memoization, name interning and host parallelism together leave no
-// fingerprint in any artifact.
+// Cross-property: a serial grid run under the memo oracle (every cost
+// estimate checked bitwise against the direct formula) serializes the
+// same bytes as a plain grid on an 8-worker pool — memoization, name
+// interning, the oracle decorator and host parallelism together leave
+// no fingerprint in any artifact.
 TEST(ObsDeterminism, MemoizedPooledGridMatchesDirectSerialGrid) {
   struct Cell {
     std::string scheduler;
@@ -120,18 +137,21 @@ TEST(ObsDeterminism, MemoizedPooledGridMatchesDirectSerialGrid) {
       cells.push_back({scheduler, seed});
     }
   }
-  std::vector<Artifacts> direct_serial;
-  direct_serial.reserve(cells.size());
+  std::vector<Artifacts> oracle_serial;
+  oracle_serial.reserve(cells.size());
+  std::uint64_t checks = 0;
   for (const Cell& cell : cells) {
-    direct_serial.push_back(run_cell(cell.scheduler, cell.seed, false));
+    std::uint64_t cell_checks = 0;
+    oracle_serial.push_back(run_cell(cell.scheduler, cell.seed, &cell_checks));
+    checks += cell_checks;
   }
+  EXPECT_GT(checks, 0u);
   const std::vector<Artifacts> memo_pooled = exec::parallel_map<Artifacts>(
-      cells.size(), 8, [&](std::size_t i) {
-        return run_cell(cells[i].scheduler, cells[i].seed, true);
-      });
-  ASSERT_EQ(memo_pooled.size(), direct_serial.size());
+      cells.size(), 8,
+      [&](std::size_t i) { return run_cell(cells[i].scheduler, cells[i].seed); });
+  ASSERT_EQ(memo_pooled.size(), oracle_serial.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_TRUE(memo_pooled[i] == direct_serial[i])
+    EXPECT_TRUE(memo_pooled[i] == oracle_serial[i])
         << cells[i].scheduler << " seed " << cells[i].seed;
   }
 }

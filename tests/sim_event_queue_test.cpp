@@ -376,124 +376,14 @@ TEST(EventQueue, NearPastWithinSlackClampsToNow) {
   EXPECT_THROW(q.schedule_at(1000.0 - 1e-3, [] {}), util::InternalError);
 }
 
-// --- drain_ready: the batched completion drain -------------------------
+// --- cancellation inside same-timestamp runs ----------------------------
 
-TEST(EventQueueDrain, DrainsExactlyTheSameTimestampBatchInFifoOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule_at(1.0, [&] { fired.push_back(0); });
-  q.schedule_at(1.0, [&] { fired.push_back(1); });
-  q.schedule_at(1.0, [&] { fired.push_back(2); });
-  q.schedule_at(2.0, [&] { fired.push_back(9); });
-  EXPECT_EQ(q.drain_ready(), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.now(), 1.0);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.drain_ready(), 1u);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 9}));
-  EXPECT_EQ(q.now(), 2.0);
-}
-
-TEST(EventQueueDrain, ReturnsZeroOnEmptyQueue) {
-  EventQueue q;
-  EXPECT_EQ(q.drain_ready(), 0u);
-  q.schedule_at(1.0, [] {});
-  q.run();
-  EXPECT_EQ(q.drain_ready(), 0u);  // drained queue stays drained
-}
-
-TEST(EventQueueDrain, SkipsCarcassesAtHeadAndInsideTheBatch) {
-  EventQueue q;
-  std::vector<int> fired;
-  const EventId head = q.schedule_at(1.0, [&] { fired.push_back(-1); });
-  q.schedule_at(1.0, [&] { fired.push_back(0); });
-  const EventId mid = q.schedule_at(1.0, [&] { fired.push_back(-2); });
-  q.schedule_at(1.0, [&] { fired.push_back(1); });
-  q.cancel(head);
-  q.cancel(mid);
-  EXPECT_EQ(q.drain_ready(), 2u);  // counts executed events, not carcasses
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-  EXPECT_TRUE(q.debug_consistent());
-}
-
-TEST(EventQueueDrain, ZeroDelayEventsScheduledDuringDrainJoinTheBatch) {
-  // A callback scheduling at the batch timestamp (the requeue /
-  // immediate-retry pattern) must run within the same drain call — that
-  // is what makes drain_ready equivalent to the step() loop, which would
-  // also reach that event before the clock moves.
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule_at(1.0, [&] {
-    fired.push_back(0);
-    q.schedule_after(0.0, [&] { fired.push_back(2); });
-  });
-  q.schedule_at(1.0, [&] { fired.push_back(1); });
-  q.schedule_at(3.0, [&] { fired.push_back(9); });
-  EXPECT_EQ(q.drain_ready(), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.now(), 1.0);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueueDrain, CallbackCancellingBatchMemberSuppressesIt) {
-  // The watchdog-vs-completion race inside one timestamp: the first
-  // event cancels the second; drain_ready must not run the corpse.
-  EventQueue q;
-  std::vector<int> fired;
-  std::vector<EventId> ids;
-  ids.push_back(q.schedule_at(1.0, [&] {
-    fired.push_back(0);
-    EXPECT_TRUE(q.cancel(ids[1]));
-  }));
-  ids.push_back(q.schedule_at(1.0, [&] { fired.push_back(-1); }));
-  ids.push_back(q.schedule_at(1.0, [&] { fired.push_back(2); }));
-  EXPECT_EQ(q.drain_ready(), 2u);
-  EXPECT_EQ(fired, (std::vector<int>{0, 2}));
-  EXPECT_TRUE(q.debug_consistent());
-}
-
-TEST(EventQueueDrain, FullRunMatchesStepLoopEventForEvent) {
-  // Property: over a schedule dense with same-time ties, cancellations
-  // and mid-run insertions, the drain_ready loop executes the exact same
-  // event sequence as the step() loop.
-  const auto build_and_run = [](bool batched) {
-    EventQueue q;
-    std::vector<int> order;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 300; ++i) {
-      const double t = static_cast<double>(i % 7) + 1.0;  // heavy ties
-      ids.push_back(q.schedule_at(t, [&order, &q, i] {
-        order.push_back(i);
-        if (i % 11 == 0) {
-          // Mid-run insertion at the current batch timestamp.
-          q.schedule_after(0.0, [&order, i] { order.push_back(1000 + i); });
-        }
-      }));
-    }
-    for (int i = 0; i < 300; i += 5) {
-      q.cancel(ids[static_cast<std::size_t>(i)]);
-    }
-    if (batched) {
-      while (q.drain_ready() > 0) {
-      }
-    } else {
-      while (q.step()) {
-      }
-    }
-    return order;
-  };
-  const std::vector<int> stepped = build_and_run(false);
-  const std::vector<int> drained = build_and_run(true);
-  EXPECT_EQ(stepped, drained);
-  EXPECT_FALSE(stepped.empty());
-}
-
-TEST(EventQueueDrain, MutualCancellationRacesWithinOneBatch) {
+TEST(EventQueueCancel, MutualCancellationRacesAtOneTimestamp) {
   // Both directions of the watchdog/completion race at one timestamp:
-  // pair A's first-by-seq member cancels its partner ahead in the batch,
-  // pair B's first member cancels a partner that sits even further down.
+  // pair A's first-by-seq member cancels its partner ahead of it, pair
+  // B's first member cancels a partner that sits even further down.
   // Whichever side fires first must win, and the loser must never
-  // deliver — across several pairs in a single drained batch.
+  // deliver — across several pairs sharing one timestamp.
   EventQueue q;
   std::vector<int> fired;
   std::vector<EventId> ids(6);
@@ -512,16 +402,22 @@ TEST(EventQueueDrain, MutualCancellationRacesWithinOneBatch) {
     EXPECT_FALSE(q.cancel(ids[0]));
   });
   ids[5] = q.schedule_at(2.0, [&] { fired.push_back(5); });
-  EXPECT_EQ(q.drain_ready(), 4u);
+  std::size_t steps = 0;
+  while (q.step()) {
+    ++steps;
+    EXPECT_TRUE(q.debug_consistent());
+  }
+  EXPECT_EQ(steps, 4u);
   EXPECT_EQ(fired, (std::vector<int>{0, 2, 4, 5}));
   EXPECT_EQ(q.now(), 2.0);
-  EXPECT_TRUE(q.debug_consistent());
+  EXPECT_EQ(q.executed(), 4u);
 }
 
-TEST(EventQueueDrain, MidBatchCancelStormTriggersCompactionSafely) {
-  // A batch member cancels a large population of future events, tripping
-  // the carcass-ratio compaction *inside* the drain loop. The remaining
-  // same-timestamp members must still run FIFO and later events survive.
+TEST(EventQueueCancel, CancelStormTriggersCompactionSafely) {
+  // A callback cancels a large population of future events, tripping
+  // the carcass-ratio compaction between two same-timestamp steps. The
+  // remaining same-timestamp events must still run FIFO and the
+  // uncancelled later events survive.
   EventQueue q;
   std::vector<int> fired;
   std::vector<EventId> future;
@@ -537,18 +433,29 @@ TEST(EventQueueDrain, MidBatchCancelStormTriggersCompactionSafely) {
   });
   q.schedule_at(1.0, [&] { fired.push_back(1); });
   q.schedule_at(1.0, [&] { fired.push_back(2); });
-  EXPECT_EQ(q.drain_ready(), 3u);
+  ASSERT_TRUE(q.step());
+  // Compaction fired inside the callback: without it all 32 cancelled
+  // entries would still sit in the heap.
+  EXPECT_LT(q.heap_carcasses(), 32u);
+  EXPECT_EQ(q.pending(), 34u);
+  EXPECT_TRUE(q.step());
+  EXPECT_TRUE(q.step());
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(q.now(), 1.0);
   EXPECT_TRUE(q.debug_consistent());
-  EXPECT_EQ(q.drain_ready(), 32u);  // surviving half of the future batch
+  q.run();
+  EXPECT_EQ(fired.size(), 3u + 32u);  // surviving half of the future events
+  for (std::size_t i = 3; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i], 100 + 2 * static_cast<int>(i - 3) + 1);
+  }
   EXPECT_EQ(q.now(), 5.0);
   EXPECT_TRUE(q.debug_consistent());
 }
 
-TEST(EventQueueDrain, ConsistencyHoldsThroughCancelHeavyDrainLoop) {
-  // Property: a drain loop over a schedule dense with same-time ties,
-  // pre-drain cancels and in-batch cancels keeps the slab/heap/carcass
-  // accounting consistent after every single drain_ready call.
+TEST(EventQueueCancel, ConsistencyHoldsThroughCancelHeavyStepLoop) {
+  // Property: a step loop over a schedule dense with same-time ties,
+  // pre-run cancels and in-callback cancels keeps the slab/heap/carcass
+  // accounting consistent after every single step() call.
   EventQueue q;
   std::vector<EventId> ids;
   std::size_t ran = 0;
@@ -568,13 +475,14 @@ TEST(EventQueueDrain, ConsistencyHoldsThroughCancelHeavyDrainLoop) {
   }
   ASSERT_TRUE(q.debug_consistent());
   std::size_t total = 0;
-  while (std::size_t n = q.drain_ready()) {
-    total += n;
+  while (q.step()) {
+    ++total;
     ASSERT_TRUE(q.debug_consistent());
   }
   EXPECT_EQ(total, ran);
   EXPECT_GT(total, 0u);
   EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.heap_carcasses(), 0u);
 }
 
 // Slab slot reuse must never resurrect a cancelled id: the generation

@@ -5,6 +5,7 @@
 #include "core/runtime.hpp"
 #include "helpers.hpp"
 #include "hw/presets.hpp"
+#include "obs/chrome_trace.hpp"
 #include "sched/mct.hpp"
 #include "trace/report.hpp"
 #include "util/json.hpp"
@@ -35,12 +36,12 @@ TEST(Tracer, ChromeJsonIsValidJson) {
   Tracer tracer;
   tracer.add(Span{1, "gemm", 0, 0.0, 0.5, SpanKind::Exec});
   tracer.add(Span{2, "fft", 4, 0.1, 0.3, SpanKind::FailedExec});
-  const std::string json = tracer.to_chrome_json(p);
+  const std::string json = obs::chrome_trace_json(tracer, p, nullptr);
   const util::Json doc = util::Json::parse(json);
   ASSERT_TRUE(doc.contains("traceEvents"));
   const auto& events = doc.at("traceEvents").as_array();
-  // 5 thread-name metadata events (one per device) + 2 spans.
-  EXPECT_EQ(events.size(), p.device_count() + 2);
+  // Process name + one thread-name metadata event per device + 2 spans.
+  EXPECT_EQ(events.size(), 1 + p.device_count() + 2);
   // Find the gemm event and check its fields.
   bool found = false;
   for (const auto& event : events) {

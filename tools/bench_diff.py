@@ -7,13 +7,16 @@ Usage: bench_diff.py BASELINE.json CANDIDATE.json [--threshold PCT]
 Rows are matched on a key tuple (default: per-bench, e.g. (shape, tasks)
 for core_overhead, (tenants,) for serve_load) and compared on one metric
 (tasks_per_s, submissions_per_s, ...). Rows present in only one file —
-a smoke run diffed against a full run, a newly added shape or scale
-point — are reported as "baseline only" / "candidate only" and never
-fail the comparison; rows missing the key or metric fields are listed as
-skipped rather than aborting the diff. With --threshold, exits 1 when
-any matched row's metric regressed by more than PCT percent; without it
-the tool is purely informational. ci/check.sh runs it advisory (no
-threshold) so a slow CI machine cannot fail the gate on noise.
+a newly added shape or scale point — are reported as "baseline only" /
+"candidate only" and never fail the comparison; rows missing the key or
+metric fields are listed as skipped rather than aborting the diff. With
+--threshold, exits 1 when any matched row's metric regressed by more
+than PCT percent; without it the tool is purely informational.
+
+A smoke run (a file tagged "smoke": true) is never compared with a full
+run (tagged false or untagged): their sizes and grids differ, so the
+tool exits 2 with a message saying which file is which. Two smoke runs,
+or two full runs, compare normally.
 
 Stdlib only by design — the CI image has no third-party Python packages.
 """
@@ -45,6 +48,10 @@ def load_doc(path):
     if not isinstance(doc.get("runs"), list):
         sys.exit(f"bench_diff: {path}: no 'runs' array (not a BENCH json?)")
     return doc
+
+
+def is_smoke(doc):
+    return doc.get("smoke") is True
 
 
 def extract_rows(doc, path, key_fields, value_field):
@@ -102,7 +109,7 @@ def diff(base_doc, cand_doc, base_path, cand_path, key_fields, value_field,
                 worst = (delta_pct, key)
     else:
         print("bench_diff: no rows in common — nothing to compare "
-              "(smoke vs full run?)")
+              "(different sizes or benches?)")
     for key in only_base:
         print(f"  baseline only:  {fmt_key(key)}")
     for key in only_cand:
@@ -135,6 +142,7 @@ def selftest():
     serve_b = {"bench": "serve_load", "runs": [
         {"tenants": 1000, "submissions_per_s": 55000.0},
         {"tenants": 100000, "submissions_per_s": 30000.0}]}
+    core_smoke = dict(core_a, smoke=True)
 
     def run(base_doc, cand_doc, extra):
         with tempfile.NamedTemporaryFile("w", suffix=".json") as fb, \
@@ -160,6 +168,11 @@ def selftest():
              ["--key", "tenants", "--value", "submissions_per_s"]), 0),
         # Cross-bench diff: zero common rows is advisory, not a crash.
         ("cross bench", run(core_a, serve_b, []), 0),
+        # Smoke against full is refused in either order, threshold or
+        # not; two smoke runs compare normally.
+        ("smoke vs full", run(core_smoke, core_b, []), 2),
+        ("full vs smoke", run(core_a, core_smoke, ["--threshold", "10"]), 2),
+        ("smoke vs smoke", run(core_smoke, core_smoke, []), 0),
     ]
     ok = True
     for name, got, want in checks:
@@ -198,6 +211,13 @@ def main(argv=None):
 
     base_doc = load_doc(args.baseline)
     cand_doc = load_doc(args.candidate)
+    if is_smoke(base_doc) != is_smoke(cand_doc):
+        kind = {True: "smoke", False: "full"}
+        print(f"bench_diff: refusing to compare a {kind[is_smoke(base_doc)]} "
+              f"run ({args.baseline}) with a {kind[is_smoke(cand_doc)]} run "
+              f"({args.candidate}); rerun both at the same size",
+              file=sys.stderr)
+        return 2
     # The baseline names the schema; a cross-bench diff just ends up with
     # zero matched rows, which is advisory by design.
     schema_key, schema_value = SCHEMAS.get(base_doc.get("bench"),

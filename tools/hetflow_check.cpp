@@ -20,6 +20,7 @@
 #include "check/invariants.hpp"
 #include "check/race.hpp"
 #include "core/runtime.hpp"
+#include "obs/chrome_trace.hpp"
 #include "sched/registry.hpp"
 #include "serve/audit.hpp"
 #include "sim/event_queue.hpp"
@@ -43,36 +44,50 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// Reconstructs the span list of a Chrome trace written by
-/// Tracer::to_chrome_json (ph=="X" complete events, tid = device id).
-check::RunRecord parse_chrome_trace(const std::string& text) {
-  const util::Json doc = util::Json::parse(text);
+/// Reconstructs the device spans of a Chrome trace written by
+/// obs::chrome_trace_json (hetflow_run --trace-json or --chrome-trace).
+/// Only "X" events of kind exec, failed or overhead are device spans;
+/// transfer spans, instants, flows and metadata are skipped, and the
+/// device count comes from the thread-name rows below the transfer
+/// tracks. Span names view into `doc`, which must outlive the record.
+check::RunRecord parse_chrome_trace(const util::Json& doc) {
   check::RunRecord run;
+  const auto note_device = [&run](std::int64_t tid) {
+    if (tid >= 0 && tid < obs::kTransferTidBase) {
+      run.device_count = std::max<std::size_t>(
+          run.device_count, static_cast<std::size_t>(tid) + 1);
+    }
+  };
   for (const util::Json& event : doc.at("traceEvents").as_array()) {
     const std::string& ph = event.at("ph").as_string();
-    const auto device =
-        static_cast<hw::DeviceId>(event.at("tid").as_number());
-    run.device_count =
-        std::max<std::size_t>(run.device_count, device + std::size_t{1});
-    if (ph != "X") {
+    if (ph == "M" && event.at("name").as_string() == "thread_name") {
+      note_device(static_cast<std::int64_t>(event.at("tid").as_number()));
       continue;
     }
+    if (ph != "X" || !event.contains("args") ||
+        !event.at("args").contains("kind")) {
+      continue;
+    }
+    const util::Json& args = event.at("args");
+    const std::string& kind = args.at("kind").as_string();
     trace::Span span;
+    if (kind == "failed") {
+      span.kind = trace::SpanKind::FailedExec;
+    } else if (kind == "overhead") {
+      span.kind = trace::SpanKind::Overhead;
+    } else if (kind != "exec") {
+      continue;
+    }
+    const auto tid = static_cast<std::int64_t>(event.at("tid").as_number());
+    note_device(tid);
     span.name = event.at("name").as_string();
-    span.device = device;
+    span.device = static_cast<hw::DeviceId>(tid);
     span.start = event.at("ts").as_number() / 1e6;
     span.end = span.start + event.at("dur").as_number() / 1e6;
-    if (event.contains("args")) {
-      const util::Json& args = event.at("args");
-      if (args.contains("task")) {
-        span.task_id =
-            static_cast<std::uint64_t>(args.at("task").as_number());
-      }
-      if (args.contains("kind") && args.at("kind").as_string() == "failed") {
-        span.kind = trace::SpanKind::FailedExec;
-      }
+    if (args.contains("task")) {
+      span.task_id = static_cast<std::uint64_t>(args.at("task").as_number());
     }
-    run.spans.push_back(std::move(span));
+    run.spans.push_back(span);
   }
   return run;
 }
@@ -92,7 +107,8 @@ int audit_dag(const std::string& path) {
 }
 
 int audit_trace(const std::string& path) {
-  const check::RunRecord run = parse_chrome_trace(read_file(path));
+  const util::Json doc = util::Json::parse(read_file(path));
+  const check::RunRecord run = parse_chrome_trace(doc);
   check::CheckReport report;
   report.merge(check::check_trace(run));
   report.note_check("trace spans", run.spans.size());

@@ -387,14 +387,6 @@ int main(int argc, char** argv) {
       std::cout << "audit snapshot written to " << cli.value("audit-out")
                 << '\n';
     }
-    if (!cli.value("trace-json").empty()) {
-      std::ofstream out(cli.value("trace-json"));
-      if (!out) {
-        throw Error("cannot open '" + cli.value("trace-json") + "'");
-      }
-      out << runtime.tracer().to_chrome_json(platform);
-      std::cout << "trace written to " << cli.value("trace-json") << '\n';
-    }
     const auto write_file = [](const std::string& path,
                                const std::string& content,
                                const char* what) {
@@ -405,6 +397,11 @@ int main(int argc, char** argv) {
       out << content;
       std::cout << what << " written to " << path << '\n';
     };
+    if (!cli.value("trace-json").empty()) {
+      write_file(cli.value("trace-json"),
+                 obs::chrome_trace_json(runtime.tracer(), platform, nullptr),
+                 "trace");
+    }
     if (!cli.value("metrics-out").empty()) {
       write_file(cli.value("metrics-out"),
                  runtime.recorder()->metrics().to_json_string(),
