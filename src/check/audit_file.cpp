@@ -1,6 +1,7 @@
 #include "check/audit_file.hpp"
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "util/json.hpp"
@@ -194,10 +195,11 @@ AuditRecord parse_audit_json(const std::string& text) {
     task.dependencies = parse_number_array<std::uint64_t>(entry.at("deps"));
     record.run.tasks.push_back(std::move(task));
   }
+  record.run.names = std::make_shared<util::StringInterner>();
   for (const util::Json& entry : run.at("spans").as_array()) {
     trace::Span span;
     span.task_id = static_cast<std::uint64_t>(entry.at("task").as_number());
-    span.name = entry.at("name").as_string();
+    span.name = record.run.names->intern_view(entry.at("name").as_string());
     span.device = static_cast<hw::DeviceId>(entry.at("device").as_number());
     span.start = entry.at("start").as_number();
     span.end = entry.at("end").as_number();

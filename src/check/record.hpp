@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "data/coherence.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/tracer.hpp"
+#include "util/interner.hpp"
 
 namespace hetflow::check {
 
@@ -45,6 +47,10 @@ struct RunRecord {
   /// Tracer spans in emission (completion) order; may be empty when the
   /// run was executed with tracing disabled.
   std::vector<trace::Span> spans;
+  /// Owns the span names of a record parsed from a file (copies share
+  /// it). Null for a live snapshot, whose spans borrow the runtime's
+  /// interned names.
+  std::shared_ptr<util::StringInterner> names;
 
   std::size_t handle_count() const noexcept { return handle_bytes.size(); }
 };

@@ -470,11 +470,16 @@ sim::SimTime Runtime::wait_all() {
     }
   }
   pump_all();
+  // Resolved once per wave (registry entries never move), and only when
+  // the loop will sample it, so an empty wave registers nothing.
+  obs::TimeWeighted* event_queue_depth =
+      recorder_ != nullptr && pending_ > 0
+          ? &recorder_->metrics().time_weighted("event_queue_depth")
+          : nullptr;
   while (pending_ > 0) {
-    if (recorder_ != nullptr) {
-      recorder_->metrics()
-          .time_weighted("event_queue_depth")
-          .update(queue_.now(), static_cast<double>(queue_.pending()));
+    if (event_queue_depth != nullptr) {
+      event_queue_depth->update(queue_.now(),
+                                static_cast<double>(queue_.pending()));
     }
     if (!queue_.step()) {
       // Drained with work outstanding: give pull-mode schedulers one more
@@ -766,21 +771,10 @@ void Runtime::timeout_task(Task& task, hw::DeviceId id, sim::SimTime started,
   data_.release(task.accesses(), device.memory_node());
   // The device was occupied from attempt start until the cancellation.
   const double busy_s = std::max(0.0, queue_.now() - started);
-  ++state.failed_attempts;
-  ++state.timeouts;
-  ++stats_.failed_attempts;
-  ++stats_.timeouts;
-  const double energy_j =
-      perf::EnergyModel::busy_energy_j(device, dvfs_index, busy_s);
-  state.busy_seconds += busy_s;
-  state.busy_energy_j += energy_j;
+  DeviceRunStats& tally = charge_attempt(device, dvfs_index, busy_s);
+  ++tally.failed_attempts;
+  ++tally.timeouts;
   if (recorder_ != nullptr) {
-    obs::MetricsRegistry& metrics = recorder_->metrics();
-    const obs::Labels labels = device_labels(device);
-    metrics.counter("failed_attempts", labels).inc();
-    metrics.counter("timeouts", labels).inc();
-    metrics.counter("busy_seconds", labels).inc(busy_s);
-    metrics.counter("busy_energy_j", labels).inc(energy_j);
     obs::Event event;
     event.kind = obs::EventKind::Timeout;
     event.time = queue_.now();
@@ -838,18 +832,7 @@ void Runtime::finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
                     busy_s / device.time_scale(dvfs_index));
   }
 
-  ++state.tasks_completed;
-  const double energy_j =
-      perf::EnergyModel::busy_energy_j(device, dvfs_index, busy_s);
-  state.busy_seconds += busy_s;
-  state.busy_energy_j += energy_j;
-  if (recorder_ != nullptr) {
-    obs::MetricsRegistry& metrics = recorder_->metrics();
-    const obs::Labels labels = device_labels(device);
-    metrics.counter("tasks_completed", labels).inc();
-    metrics.counter("busy_seconds", labels).inc(busy_s);
-    metrics.counter("busy_energy_j", labels).inc(energy_j);
-  }
+  ++charge_attempt(device, dvfs_index, busy_s).tasks_completed;
   if (tracer_.enabled()) {
     // Hoisted enabled check: Span construction copies the task name, a
     // real cost per task when tracing is off.
@@ -913,24 +896,22 @@ void Runtime::fail_task(Task& task, hw::DeviceId id, sim::SimTime started,
   }
 
   data_.release(task.accesses(), device.memory_node());
-  ++state.failed_attempts;
-  ++stats_.failed_attempts;
-  const double energy_j =
-      perf::EnergyModel::busy_energy_j(device, dvfs_index, busy_s);
-  state.busy_seconds += busy_s;
-  state.busy_energy_j += energy_j;
-  if (recorder_ != nullptr) {
-    obs::MetricsRegistry& metrics = recorder_->metrics();
-    const obs::Labels labels = device_labels(device);
-    metrics.counter("failed_attempts", labels).inc();
-    metrics.counter("busy_seconds", labels).inc(busy_s);
-    metrics.counter("busy_energy_j", labels).inc(energy_j);
-  }
+  ++charge_attempt(device, dvfs_index, busy_s).failed_attempts;
   tracer_.add(trace::Span{task.id(), task.name(), id, started, queue_.now(),
                           trace::SpanKind::FailedExec});
   HETFLOW_DEBUG << "task '" << task.name() << "' failed on " << device.name()
                 << " (attempt " << task.attempts() << ")";
   recover_attempt(task, id);
+}
+
+DeviceRunStats& Runtime::charge_attempt(const hw::Device& device,
+                                       std::size_t dvfs_index,
+                                       double busy_s) {
+  DeviceRunStats& tally = stats_.devices[device.id()];
+  tally.busy_seconds += busy_s;
+  tally.busy_energy_j +=
+      perf::EnergyModel::busy_energy_j(device, dvfs_index, busy_s);
+  return tally;
 }
 
 void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
@@ -1038,22 +1019,11 @@ void Runtime::requeue_attempt(Task& task, hw::DeviceId device_id) {
 void Runtime::blacklist_device(hw::DeviceId device_id) {
   const hw::Device& device = platform_->device(device_id);
   DeviceState& state = device_states_[device_id];
-  ++stats_.blacklist_events;
   // Health transition (Healthy/Probation -> Blacklisted): drop the cost
   // memo so no estimate computed against the pre-quarantine device set
   // survives the transition.
   cost_cache_.invalidate();
-  if (recorder_ != nullptr) {
-    recorder_->metrics()
-        .counter("blacklist_events", device_labels(device))
-        .inc();
-    obs::Event event;
-    event.kind = obs::EventKind::Blacklist;
-    event.time = queue_.now();
-    event.device = static_cast<std::int64_t>(device_id);
-    event.name = device.name();
-    recorder_->record(std::move(event));
-  }
+  record_device_event(obs::EventKind::Blacklist, device_id);
   HETFLOW_DEBUG << "device " << device.name() << " blacklisted after "
                 << health_.consecutive_failures(device_id)
                 << " consecutive failures (probation in "
@@ -1080,16 +1050,20 @@ void Runtime::blacklist_device(hw::DeviceId device_id) {
         device_states_[device_id].probation_event = 0;
         health_.end_blacklist(device_id);
         cost_cache_.invalidate();  // Blacklisted -> Probation transition
-        if (recorder_ != nullptr) {
-          obs::Event event;
-          event.kind = obs::EventKind::Probation;
-          event.time = queue_.now();
-          event.device = static_cast<std::int64_t>(device_id);
-          event.name = platform_->device(device_id).name();
-          recorder_->record(std::move(event));
-        }
+        record_device_event(obs::EventKind::Probation, device_id);
         pump_device(device_id);
       });
+}
+
+void Runtime::record_device_event(obs::EventKind kind, hw::DeviceId id) {
+  if (recorder_ != nullptr) {
+    obs::Event event;
+    event.kind = kind;
+    event.time = queue_.now();
+    event.device = static_cast<std::int64_t>(id);
+    event.name = platform_->device(id).name();
+    recorder_->record(std::move(event));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1102,9 +1076,6 @@ void Runtime::fail_node(const NodeFault& fault) {
       fault.recover_after >= 0.0
           ? queue_.now() + fault.recover_after
           : std::numeric_limits<sim::SimTime>::infinity();
-  if (recorder_ != nullptr) {
-    recorder_->metrics().counter("node_failures").inc();
-  }
   HETFLOW_DEBUG << "node fault at t=" << queue_.now() << ": "
                 << fault.devices.size() << " devices, "
                 << fault.memory_nodes.size() << " memory nodes"
@@ -1122,19 +1093,7 @@ void Runtime::fail_node(const NodeFault& fault) {
       state.probation_event = 0;
     }
     health_.quarantine(id, until);
-    ++stats_.blacklist_events;
-    if (recorder_ != nullptr) {
-      const hw::Device& device = platform_->device(id);
-      recorder_->metrics()
-          .counter("blacklist_events", device_labels(device))
-          .inc();
-      obs::Event event;
-      event.kind = obs::EventKind::Blacklist;
-      event.time = queue_.now();
-      event.device = static_cast<std::int64_t>(id);
-      event.name = device.name();
-      recorder_->record(std::move(event));
-    }
+    record_device_event(obs::EventKind::Blacklist, id);
   }
   cost_cache_.invalidate();
 
@@ -1161,21 +1120,9 @@ void Runtime::fail_node(const NodeFault& fault) {
     const hw::Device& device = platform_->device(id);
     data_.release(victim.accesses(), device.memory_node());
     const double busy_s = std::max(0.0, queue_.now() - victim.times().started);
-    ++state.failed_attempts;
-    ++stats_.failed_attempts;
-    const std::size_t dvfs_index = dvfs_or_nominal(victim, device);
-    const double energy_j =
-        perf::EnergyModel::busy_energy_j(device, dvfs_index, busy_s);
-    state.busy_seconds += busy_s;
-    state.busy_energy_j += energy_j;
+    ++charge_attempt(device, dvfs_or_nominal(victim, device), busy_s)
+          .failed_attempts;
     state.busy_until = queue_.now();
-    if (recorder_ != nullptr) {
-      obs::MetricsRegistry& metrics = recorder_->metrics();
-      const obs::Labels labels = device_labels(device);
-      metrics.counter("failed_attempts", labels).inc();
-      metrics.counter("busy_seconds", labels).inc(busy_s);
-      metrics.counter("busy_energy_j", labels).inc(energy_j);
-    }
     if (busy_s > 0.0) {
       tracer_.add(trace::Span{victim.id(), victim.name(), id,
                               victim.times().started, queue_.now(),
@@ -1243,14 +1190,7 @@ void Runtime::fail_node(const NodeFault& fault) {
             device_states_[id].probation_event = 0;
             health_.end_blacklist(id);
             cost_cache_.invalidate();
-            if (recorder_ != nullptr) {
-              obs::Event event;
-              event.kind = obs::EventKind::Probation;
-              event.time = queue_.now();
-              event.device = static_cast<std::int64_t>(id);
-              event.name = platform_->device(id).name();
-              recorder_->record(std::move(event));
-            }
+            record_device_event(obs::EventKind::Probation, id);
             pump_device(id);
           });
     }
@@ -1315,9 +1255,6 @@ void Runtime::recover_datum(data::DataId data) {
     if (platform_->memory_node(node).capacity_bytes() >= bytes) {
       data_.reseed(data, node, queue_.now());
       ++stats_.data_reseeded;
-      if (recorder_ != nullptr) {
-        recorder_->metrics().counter("data_reseeded").inc();
-      }
       return;
     }
   }
@@ -1347,9 +1284,6 @@ void Runtime::resurrect_writer(TaskId id) {
   producer.set_dvfs_state(std::nullopt);
   ++pending_;
   ++stats_.tasks_resurrected;
-  if (recorder_ != nullptr) {
-    recorder_->metrics().counter("tasks_resurrected").inc();
-  }
   HETFLOW_DEBUG << "resurrecting producer '" << producer.name()
                 << "' to regenerate data lost with a failed node";
   // Its dependency counters stay drained (the parents DID run);
@@ -1367,9 +1301,6 @@ void Runtime::park_task(Task& task) {
   task.set_dvfs_state(std::nullopt);
   parked_.push_back(task.id());
   ++stats_.tasks_parked;
-  if (recorder_ != nullptr) {
-    recorder_->metrics().counter("tasks_parked").inc();
-  }
   HETFLOW_DEBUG << "parking task '" << task.name()
                 << "' until a lost input is regenerated";
 }
@@ -1419,7 +1350,6 @@ void Runtime::abandon_task(Task& task) {
     set_task_state(*doomed, TaskState::Abandoned);
     ++stats_.tasks_lost;
     if (recorder_ != nullptr) {
-      recorder_->metrics().counter("tasks_lost").inc();
       obs::Event event;
       event.kind = obs::EventKind::Abandon;
       event.time = queue_.now();
@@ -1514,29 +1444,72 @@ void Runtime::finalize_stats() {
       ++stats_.tasks_completed;
     }
   }
-  for (std::size_t i = 0; i < device_states_.size(); ++i) {
-    const DeviceState& state = device_states_[i];
-    DeviceRunStats& out = stats_.devices[i];
-    out.tasks_completed = state.tasks_completed;
-    out.failed_attempts = state.failed_attempts;
-    out.timeouts = state.timeouts;
-    out.blacklist_events =
-        health_.blacklist_events(static_cast<hw::DeviceId>(i));
-    out.busy_seconds = state.busy_seconds;
-    out.busy_energy_j = state.busy_energy_j;
-    out.idle_energy_j = perf::EnergyModel::idle_energy_j(
-        platform_->device(static_cast<hw::DeviceId>(i)),
-        stats_.makespan_s - state.busy_seconds);
+  stats_.failed_attempts = 0;
+  stats_.timeouts = 0;
+  stats_.blacklist_events = 0;
+  for (DeviceRunStats& device : stats_.devices) {
+    device.blacklist_events = health_.blacklist_events(device.device);
+    device.idle_energy_j = perf::EnergyModel::idle_energy_j(
+        platform_->device(device.device),
+        stats_.makespan_s - device.busy_seconds);
+    stats_.failed_attempts += device.failed_attempts;
+    stats_.timeouts += device.timeouts;
+    stats_.blacklist_events += device.blacklist_events;
   }
   stats_.transfers = data_.transfers().stats();
   stats_.data = data_.stats();
-  if (recorder_ != nullptr) {
-    obs::MetricsRegistry& metrics = recorder_->metrics();
-    metrics.gauge("makespan_s").set(stats_.makespan_s);
-    metrics.gauge("events_executed")
-        .set(static_cast<double>(queue_.executed()));
-    metrics.gauge("event_queue_peak_pending")
-        .set(static_cast<double>(queue_.peak_pending()));
+  if (recorder_ == nullptr) {
+    return;
+  }
+
+  // Publish. The stats are the one accumulator for every counter below;
+  // assigning (never adding) keeps a later wave's re-publish exact, and
+  // an entry appears only once its count is nonzero.
+  obs::MetricsRegistry& metrics = recorder_->metrics();
+  const auto publish = [&metrics](const char* name, std::uint64_t count,
+                                  const obs::Labels& labels = {}) {
+    if (count > 0) {
+      metrics.counter(name, labels).set(static_cast<double>(count));
+    }
+  };
+  metrics.gauge("makespan_s").set(stats_.makespan_s);
+  metrics.gauge("events_executed").set(static_cast<double>(queue_.executed()));
+  metrics.gauge("event_queue_peak_pending")
+      .set(static_cast<double>(queue_.peak_pending()));
+  for (const DeviceRunStats& device : stats_.devices) {
+    const obs::Labels labels = device_labels(platform_->device(device.device));
+    publish("tasks_completed", device.tasks_completed, labels);
+    publish("failed_attempts", device.failed_attempts, labels);
+    publish("timeouts", device.timeouts, labels);
+    publish("blacklist_events", device.blacklist_events, labels);
+    if (device.tasks_completed + device.failed_attempts > 0) {
+      metrics.counter("busy_seconds", labels).set(device.busy_seconds);
+      metrics.counter("busy_energy_j", labels).set(device.busy_energy_j);
+    }
+  }
+  publish("node_failures", stats_.node_failures);
+  publish("tasks_resurrected", stats_.tasks_resurrected);
+  publish("tasks_parked", stats_.tasks_parked);
+  publish("data_reseeded", stats_.data_reseeded);
+  publish("tasks_lost", stats_.tasks_lost);
+  const std::vector<data::DataManagerStats>& nodes = data_.node_stats();
+  for (hw::MemoryNodeId src = 0; src < nodes.size(); ++src) {
+    const std::string& name = platform_->memory_node(src).name();
+    const obs::Labels labels = {{"node", name}};
+    publish("fetches", nodes[src].fetches, labels);
+    publish("prefetches", nodes[src].prefetches, labels);
+    publish("evictions", nodes[src].evictions, labels);
+    publish("writebacks", nodes[src].writebacks, labels);
+    for (hw::MemoryNodeId dst = 0; dst < nodes.size(); ++dst) {
+      const data::RouteStats& route = data_.transfers().route_stats(src, dst);
+      if (route.transfers > 0) {
+        const obs::Labels route_labels = {
+            {"src", name}, {"dst", platform_->memory_node(dst).name()}};
+        publish("transfers", route.transfers, route_labels);
+        metrics.counter("bytes_transferred", route_labels)
+            .set(static_cast<double>(route.bytes));
+      }
+    }
   }
 }
 

@@ -242,13 +242,6 @@ class Runtime {
     /// quarantine lifted) when the run drains first (0 = none).
     sim::EventId probation_event = 0;
     double queued_est_seconds = 0.0;
-    // cumulative accounting (uint64_t: explicit width for campaign-scale
-    // attempt counts; size_t is only guaranteed 16 bits)
-    std::uint64_t tasks_completed = 0;
-    std::uint64_t failed_attempts = 0;
-    std::uint64_t timeouts = 0;
-    double busy_seconds = 0.0;
-    double busy_energy_j = 0.0;
   };
 
   const hw::Platform* platform_;
@@ -405,6 +398,15 @@ class Runtime {
   /// Re-readies parked tasks whose accesses are no longer blocked.
   void release_parked();
   std::size_t effective_max_attempts() const noexcept;
+  /// Logs a Blacklist/Probation event for `id` at the current time (no-op
+  /// with metrics off).
+  void record_device_event(obs::EventKind kind, hw::DeviceId id);
+  /// Charges one attempt's busy time and energy to the device's stats,
+  /// returned so the caller counts the attempt's outcome.
+  DeviceRunStats& charge_attempt(const hw::Device& device,
+                                 std::size_t dvfs_index, double busy_s);
+  /// Completes RunStats from the live tallies and, with metrics on,
+  /// publishes the stats-backed counters and end-of-run gauges.
   void finalize_stats();
 
   double exec_estimate(const Task& task, const hw::Device& device,

@@ -6,19 +6,24 @@
 
 namespace hetflow::data {
 
-namespace {
-obs::Labels node_labels(const hw::Platform& platform,
-                        hw::MemoryNodeId node) {
-  return {{"node", platform.memory_node(node).name()}};
-}
-}  // namespace
-
 DataManager::DataManager(const hw::Platform& platform,
                          sim::EventQueue& queue)
     : platform_(&platform),
       directory_(platform, registry_),
       transfers_(platform, queue),
-      ledger_(platform) {}
+      ledger_(platform),
+      node_stats_(platform.memory_node_count()) {}
+
+DataManagerStats DataManager::stats() const {
+  DataManagerStats out;
+  for (const DataManagerStats& node : node_stats_) {
+    out.evictions += node.evictions;
+    out.writebacks += node.writebacks;
+    out.fetches += node.fetches;
+    out.prefetches += node.prefetches;
+  }
+  return out;
+}
 
 void DataManager::reserve(std::size_t handles) {
   registry_.reserve(handles);
@@ -79,12 +84,7 @@ void DataManager::ensure_capacity(hw::MemoryNodeId node, std::uint64_t needed,
       if (home != node) {
         transfers_.transfer(node, home, registry_.handle(victim).bytes,
                             earliest);
-        ++stats_.writebacks;
-        if (recorder_ != nullptr) {
-          recorder_->metrics()
-              .counter("writebacks", node_labels(*platform_, node))
-              .inc();
-        }
+        ++node_stats_[node].writebacks;
         directory_.mark_shared(victim, node);
         directory_.mark_shared(victim, home);
       } else {
@@ -100,21 +100,11 @@ void DataManager::ensure_capacity(hw::MemoryNodeId node, std::uint64_t needed,
       }
       transfers_.transfer(node, home, registry_.handle(victim).bytes,
                           earliest);
-      ++stats_.writebacks;
-      if (recorder_ != nullptr) {
-        recorder_->metrics()
-            .counter("writebacks", node_labels(*platform_, node))
-            .inc();
-      }
+      ++node_stats_[node].writebacks;
       directory_.mark_shared(victim, home);
     }
     directory_.mark_invalid(victim, node);
-    ++stats_.evictions;
-    if (recorder_ != nullptr) {
-      recorder_->metrics()
-          .counter("evictions", node_labels(*platform_, node))
-          .inc();
-    }
+    ++node_stats_[node].evictions;
   }
   if (directory_.resident_bytes(node) + needed > capacity) {
     throw ResourceExhausted(util::format(
@@ -153,12 +143,7 @@ sim::SimTime DataManager::acquire(std::span<const Access> accesses,
             directory_.pick_source(access.data, node);
         const sim::SimTime done =
             transfers_.transfer(source, node, handle.bytes, earliest);
-        ++stats_.fetches;
-        if (recorder_ != nullptr) {
-          recorder_->metrics()
-              .counter("fetches", node_labels(*platform_, node))
-              .inc();
-        }
+        ++node_stats_[node].fetches;
         // MSI remote read: a Modified owner loses exclusivity but keeps
         // its (up-to-date) copy — both ends are Shared afterwards.
         if (directory_.state(access.data, source) == ReplicaState::Modified) {
@@ -221,15 +206,9 @@ void DataManager::prefetch(std::span<const Access> accesses,
           directory_.pick_source(access.data, node);
       const sim::SimTime done =
           transfers_.transfer(source, node, handle.bytes, earliest);
-      ++stats_.fetches;
-      ++stats_.prefetches;
+      ++node_stats_[node].fetches;
+      ++node_stats_[node].prefetches;
       if (recorder_ != nullptr) {
-        recorder_->metrics()
-            .counter("fetches", node_labels(*platform_, node))
-            .inc();
-        recorder_->metrics()
-            .counter("prefetches", node_labels(*platform_, node))
-            .inc();
         obs::Event event;
         event.kind = obs::EventKind::Prefetch;
         event.time = earliest;

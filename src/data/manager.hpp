@@ -46,11 +46,16 @@ class DataManager {
   const DataRegistry& registry() const noexcept { return registry_; }
   const CoherenceDirectory& directory() const noexcept { return directory_; }
   const TransferEngine& transfers() const noexcept { return transfers_; }
-  const DataManagerStats& stats() const noexcept { return stats_; }
+  /// Totals over every memory node (computed from node_stats()).
+  DataManagerStats stats() const;
+  /// Per memory node: fetches and prefetches count toward the
+  /// destination, evictions and write-backs toward the evicting node.
+  const std::vector<DataManagerStats>& node_stats() const noexcept {
+    return node_stats_;
+  }
 
   /// Observability sink (null = off); forwarded to the transfer engine.
-  /// Fetch/prefetch/eviction/writeback counters and prefetch instant
-  /// events land here.
+  /// Prefetch instant events land here.
   void set_recorder(obs::Recorder* recorder) noexcept {
     recorder_ = recorder;
     transfers_.set_recorder(recorder);
@@ -113,7 +118,7 @@ class DataManager {
   CoherenceDirectory directory_;
   TransferEngine transfers_;
   MemoryLedger ledger_;
-  DataManagerStats stats_;
+  std::vector<DataManagerStats> node_stats_;
   obs::Recorder* recorder_ = nullptr;
   /// Flat (data, node) directory of in-flight prefetch completion times,
   /// kNotInFlight when none; consumed (reset) by the acquire() that waits

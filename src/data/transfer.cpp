@@ -10,7 +10,8 @@ TransferEngine::TransferEngine(const hw::Platform& platform,
     : platform_(&platform),
       queue_(&queue),
       link_busy_until_(platform.links().size(), 0.0),
-      link_bytes_(platform.links().size(), 0) {}
+      link_bytes_(platform.links().size(), 0),
+      routes_(platform.memory_node_count() * platform.memory_node_count()) {}
 
 template <typename PerHop>
 sim::SimTime TransferEngine::walk_route(hw::MemoryNodeId src,
@@ -55,20 +56,13 @@ sim::SimTime TransferEngine::transfer(hw::MemoryNodeId src,
         }
         link_busy_until_[link_id] = done;
         link_bytes_[link_id] += bytes;
-        stats_.bytes_link_hops += bytes;
-        stats_.busy_seconds += done - start;
+        busy_seconds_ += done - start;
       });
   if (src != dst) {
-    ++stats_.transfer_count;
-    stats_.bytes_moved += bytes;
+    RouteStats& route = routes_[src * platform_->memory_node_count() + dst];
+    ++route.transfers;
+    route.bytes += bytes;
     if (recorder_ != nullptr) {
-      const obs::Labels route_labels = {
-          {"src", platform_->memory_node(src).name()},
-          {"dst", platform_->memory_node(dst).name()}};
-      recorder_->metrics().counter("transfers", route_labels).inc();
-      recorder_->metrics()
-          .counter("bytes_transferred", route_labels)
-          .inc(static_cast<double>(bytes));
       obs::Event event;
       event.kind = obs::EventKind::Transfer;
       event.time = first_hop_start;
@@ -93,6 +87,19 @@ sim::SimTime TransferEngine::estimate(hw::MemoryNodeId src,
 sim::SimTime TransferEngine::link_free_at(hw::LinkId link) const {
   HETFLOW_REQUIRE_MSG(link < link_busy_until_.size(), "link id out of range");
   return link_busy_until_[link];
+}
+
+TransferStats TransferEngine::stats() const {
+  TransferStats out;
+  for (const RouteStats& route : routes_) {
+    out.transfer_count += route.transfers;
+    out.bytes_moved += route.bytes;
+  }
+  for (const std::uint64_t bytes : link_bytes_) {
+    out.bytes_link_hops += bytes;
+  }
+  out.busy_seconds = busy_seconds_;
+  return out;
 }
 
 std::uint64_t TransferEngine::link_bytes(hw::LinkId link) const {

@@ -23,6 +23,12 @@ struct TransferStats {
   double busy_seconds = 0.0;           ///< total link occupancy
 };
 
+/// Booked src != dst transfers of one (src, dst) route.
+struct RouteStats {
+  std::uint64_t transfers = 0;
+  std::uint64_t bytes = 0;
+};
+
 class TransferEngine {
  public:
   TransferEngine(const hw::Platform& platform, sim::EventQueue& queue);
@@ -41,12 +47,16 @@ class TransferEngine {
   /// Time at which a link next becomes free.
   sim::SimTime link_free_at(hw::LinkId link) const;
 
-  const TransferStats& stats() const noexcept { return stats_; }
+  /// Totals over every route and link (computed from the tallies below).
+  TransferStats stats() const;
   std::uint64_t link_bytes(hw::LinkId link) const;
+  const RouteStats& route_stats(hw::MemoryNodeId src,
+                                hw::MemoryNodeId dst) const {
+    return routes_[src * platform_->memory_node_count() + dst];
+  }
 
   /// Observability sink (null = off). Each booked src != dst transfer
-  /// emits a Transfer event spanning first-hop start to arrival and bumps
-  /// the transfers / bytes_transferred{src,dst} counters.
+  /// emits a Transfer event spanning first-hop start to arrival.
   void set_recorder(obs::Recorder* recorder) noexcept {
     recorder_ = recorder;
   }
@@ -57,7 +67,9 @@ class TransferEngine {
   obs::Recorder* recorder_ = nullptr;
   std::vector<sim::SimTime> link_busy_until_;
   std::vector<std::uint64_t> link_bytes_;
-  TransferStats stats_;
+  /// routes_[src * node_count + dst]
+  std::vector<RouteStats> routes_;
+  double busy_seconds_ = 0.0;
 
   /// Walks the route from `src` to `dst`, computing each hop's occupancy
   /// window against the current link state without mutating it. `per_hop`

@@ -3,10 +3,10 @@
 // Three metric kinds cover everything the runtime emits:
 //
 //   * Counter       — monotonically increasing sum (tasks_scheduled,
-//                     bytes_transferred, retry_attempts, ...). Stored as a
-//                     double so second-valued counters accumulate in
-//                     exactly the same order and precision as the RunStats
-//                     fields they mirror (snapshots reconcile bitwise).
+//                     bytes_transferred, retry_attempts, ...). Those a
+//                     stats struct holds are set() from it at the end of
+//                     Runtime::wait_all(): bitwise equal by construction,
+//                     but not valid mid-run nor after wait_all() throws.
 //   * Gauge         — last-written value (makespan_s, events_executed).
 //   * TimeWeighted  — a piecewise-constant signal sampled at update()
 //                     instants (queue_depth, event_queue_depth); the
@@ -39,6 +39,8 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 class Counter {
  public:
   void inc(double delta = 1.0) { value_ += delta; }
+  /// Publishes a total kept elsewhere: assigns, so re-publishing is exact.
+  void set(double value) { value_ = value; }
   double value() const noexcept { return value_; }
 
  private:

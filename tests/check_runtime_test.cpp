@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "check/audit_file.hpp"
 #include "helpers.hpp"
 #include "sched/mct.hpp"
@@ -142,6 +145,36 @@ TEST(RuntimeAudit, AuditJsonRoundTripsAndStaysClean) {
   EXPECT_TRUE(check_races(parsed.run).empty());
   EXPECT_TRUE(check_trace(parsed.run).empty());
   EXPECT_TRUE(check_directory(parsed.directory).empty());
+}
+
+TEST(RuntimeAudit, ReloadedAuditSpansNameTheirTasks) {
+  // Span names are views; a loaded audit must own what they point at,
+  // because the parsed JSON document is gone by the time anyone reads
+  // them (hetflow_check --audit prints them in trace violations).
+  const hw::Platform p = hw::make_workstation();
+  core::Runtime rt(p, std::make_unique<sched::MctScheduler>());
+  const auto d = rt.register_data("d", 1 << 20);
+  for (int i = 0; i < 6; ++i) {
+    rt.submit(util::format("long-enough-to-leave-sso-stage-%d", i),
+              cpu_gpu_codelet(), 2e9, {{d, data::AccessMode::ReadWrite}});
+  }
+  rt.wait_all();
+  const std::string path =
+      ::testing::TempDir() + "reloaded_audit_span_names.json";
+  save_audit(snapshot_audit(rt), path);
+  const AuditRecord loaded = load_audit(path);
+  std::remove(path.c_str());
+
+  ASSERT_EQ(loaded.run.spans.size(), rt.tracer().spans().size());
+  for (const trace::Span& span : loaded.run.spans) {
+    ASSERT_LT(span.task_id, loaded.run.tasks.size());
+    EXPECT_EQ(span.name, loaded.run.tasks[span.task_id].name);
+  }
+  // Copies share the store: the views outlive the record they came from.
+  const RunRecord copy = AuditRecord(loaded).run;
+  for (const trace::Span& span : copy.spans) {
+    EXPECT_EQ(span.name, copy.tasks[span.task_id].name);
+  }
 }
 
 TEST(RuntimeAudit, ParseRejectsMalformedDocuments) {

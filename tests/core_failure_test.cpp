@@ -393,6 +393,34 @@ TEST(Retry, BlacklistQuarantinesFlakyDevice) {
   }
 }
 
+TEST(Retry, NodeFaultOnQuarantinedDeviceIsNotASecondQuarantine) {
+  // The GPU is quarantined by its first failure and stays out; the node
+  // fault that later takes it only extends that quarantine, so the run
+  // total must still equal the per-device counts.
+  const hw::Platform p = hw::make_workstation();
+  const hw::DeviceId gpu = p.devices_of_type(hw::DeviceType::Gpu).front();
+  RuntimeOptions options = gpu_flaky_options(9);
+  options.retry.blacklist_after = 1;
+  options.retry.probation_s = 1e6;
+  NodeFault fault;
+  fault.at = 0.3;
+  fault.devices = {gpu};
+  options.node_faults.push_back(fault);
+  Runtime rt(p, std::make_unique<sched::MctScheduler>(), options);
+  for (int i = 0; i < 40; ++i) {
+    rt.submit(util::format("t%d", i),
+              hetflow::testing::cpu_gpu_codelet(), 4e9, {});
+  }
+  rt.wait_all();
+  ASSERT_EQ(rt.stats().node_failures, 1u);
+  EXPECT_EQ(rt.stats().devices[gpu].blacklist_events, 1u);
+  std::uint64_t per_device = 0;
+  for (const DeviceRunStats& d : rt.stats().devices) {
+    per_device += d.blacklist_events;
+  }
+  EXPECT_EQ(rt.stats().blacklist_events, per_device);
+}
+
 TEST(Retry, BlacklistReducesFailedAttemptsOnFlakyDevice) {
   const hw::Platform p = hw::make_workstation();
   std::size_t failed_without = 0;

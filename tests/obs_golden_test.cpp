@@ -1,4 +1,4 @@
-// Golden-trace regression suite: runs two pinned scenarios with the
+// Golden-trace regression suite: runs three pinned scenarios with the
 // observability layer on and compares every serialized artifact —
 // metrics snapshot (JSON + CSV), merged Chrome trace, scheduler decision
 // log — byte for byte against the reference files checked in under
@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "check/audit.hpp"
 #include "core/runtime.hpp"
 #include "helpers.hpp"
 #include "hw/presets.hpp"
@@ -133,6 +134,29 @@ TEST(ObsGolden, FaultInjectionOnCpuPairWithMct) {
   }
   rt.wait_all();
   check_scenario("faulty_mct", p, rt);
+}
+
+TEST(ObsGolden, NodeFaultDropEvictionAndPrefetchReachEveryCounter) {
+  // The "accounting" reference: every counter the runtime publishes is
+  // nonzero (see hetflow::testing::submit_accounting_workload).
+  const hw::Platform p = hetflow::testing::make_accounting_platform();
+  core::Runtime rt(p, sched::make_scheduler("dmda"),
+                   hetflow::testing::accounting_options());
+  hetflow::testing::submit_accounting_workload(rt);
+  rt.wait_all();
+  // The references must keep exercising what they exist for.
+  const check::CheckReport report = check::audit_run(rt);
+  EXPECT_TRUE(report.violations().empty()) << report.summary();
+  const obs::MetricsRegistry& m = rt.recorder()->metrics();
+  for (const char* name :
+       {"tasks_completed", "failed_attempts", "timeouts", "busy_seconds",
+        "busy_energy_j", "blacklist_events", "node_failures",
+        "tasks_resurrected", "tasks_parked", "data_reseeded", "tasks_lost",
+        "fetches", "prefetches", "evictions", "writebacks", "transfers",
+        "bytes_transferred"}) {
+    EXPECT_GT(m.counter_sum(name), 0.0) << name;
+  }
+  check_scenario("node_fault_accounting", p, rt);
 }
 
 // Sanity on the golden artifacts themselves (run in both modes): the

@@ -4,8 +4,8 @@
 //   1. The Chrome trace reconciles with RunStats: per device, the summed
 //      durations of the exported "X" spans equal busy_seconds.
 //   2. The metrics snapshot reconciles with RunStats — bitwise for the
-//      second-valued counters, which accumulate in the same order as the
-//      stats fields they mirror.
+//      second-valued counters, which wait_all() publishes from the stats
+//      fields themselves — across waves and under node faults.
 //   3. The decision log tells the truth: the LAST logged decision for
 //      each task names the device the task actually ran on, as recorded
 //      by the hetflow-verify audit snapshot.
@@ -16,13 +16,16 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "core/runtime.hpp"
+#include "helpers.hpp"
 #include "hw/presets.hpp"
 #include "obs/chrome_trace.hpp"
 #include "sched/registry.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 #include "workflow/generators.hpp"
 #include "workflow/workflow.hpp"
 
@@ -79,44 +82,145 @@ TEST(ObsProperty, ChromeTraceSpanTimeEqualsRunStatsBusyTime) {
   }
 }
 
+/// Every counter the runtime publishes at the end of wait_all() equals
+/// the stats field it is published from — bitwise for the second-valued
+/// ones — and the per-node and per-route tallies sum to the aggregates.
+void expect_counters_match_stats(const core::Runtime& rt,
+                                 const std::string& what) {
+  const hw::Platform& p = rt.platform();
+  const obs::MetricsRegistry& m = rt.recorder()->metrics();
+  const core::RunStats& stats = rt.stats();
+  const auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+
+  for (const core::DeviceRunStats& device : stats.devices) {
+    const std::string& name = p.device(device.device).name();
+    const obs::Labels labels = {{"device", name}};
+    EXPECT_EQ(m.counter_value("tasks_completed", labels),
+              count(device.tasks_completed))
+        << what << " device " << name;
+    EXPECT_EQ(m.counter_value("failed_attempts", labels),
+              count(device.failed_attempts))
+        << what << " device " << name;
+    EXPECT_EQ(m.counter_value("timeouts", labels), count(device.timeouts))
+        << what << " device " << name;
+    EXPECT_EQ(m.counter_value("blacklist_events", labels),
+              count(device.blacklist_events))
+        << what << " device " << name;
+    EXPECT_EQ(m.counter_value("busy_seconds", labels), device.busy_seconds)
+        << what << " device " << name;
+    EXPECT_EQ(m.counter_value("busy_energy_j", labels), device.busy_energy_j)
+        << what << " device " << name;
+  }
+  EXPECT_EQ(m.counter_sum("failed_attempts"), count(stats.failed_attempts))
+      << what;
+  EXPECT_EQ(m.counter_sum("timeouts"), count(stats.timeouts)) << what;
+  EXPECT_EQ(m.counter_sum("blacklist_events"), count(stats.blacklist_events))
+      << what;
+
+  EXPECT_EQ(m.counter_sum("node_failures"), count(stats.node_failures))
+      << what;
+  EXPECT_EQ(m.counter_sum("tasks_resurrected"),
+            count(stats.tasks_resurrected))
+      << what;
+  EXPECT_EQ(m.counter_sum("tasks_parked"), count(stats.tasks_parked)) << what;
+  EXPECT_EQ(m.counter_sum("data_reseeded"), count(stats.data_reseeded))
+      << what;
+  EXPECT_EQ(m.counter_sum("tasks_lost"), count(stats.tasks_lost)) << what;
+
+  const std::vector<data::DataManagerStats>& nodes = rt.data().node_stats();
+  ASSERT_EQ(nodes.size(), p.memory_node_count());
+  data::DataManagerStats summed;
+  for (hw::MemoryNodeId node = 0; node < nodes.size(); ++node) {
+    const std::string& name = p.memory_node(node).name();
+    const obs::Labels labels = {{"node", name}};
+    EXPECT_EQ(m.counter_value("fetches", labels), count(nodes[node].fetches))
+        << what << " node " << name;
+    EXPECT_EQ(m.counter_value("prefetches", labels),
+              count(nodes[node].prefetches))
+        << what << " node " << name;
+    EXPECT_EQ(m.counter_value("evictions", labels),
+              count(nodes[node].evictions))
+        << what << " node " << name;
+    EXPECT_EQ(m.counter_value("writebacks", labels),
+              count(nodes[node].writebacks))
+        << what << " node " << name;
+    summed.fetches += nodes[node].fetches;
+    summed.prefetches += nodes[node].prefetches;
+    summed.evictions += nodes[node].evictions;
+    summed.writebacks += nodes[node].writebacks;
+  }
+  EXPECT_EQ(summed.fetches, stats.data.fetches) << what;
+  EXPECT_EQ(summed.prefetches, stats.data.prefetches) << what;
+  EXPECT_EQ(summed.evictions, stats.data.evictions) << what;
+  EXPECT_EQ(summed.writebacks, stats.data.writebacks) << what;
+  EXPECT_EQ(m.counter_sum("fetches"), count(stats.data.fetches)) << what;
+  EXPECT_EQ(m.counter_sum("prefetches"), count(stats.data.prefetches))
+      << what;
+  EXPECT_EQ(m.counter_sum("evictions"), count(stats.data.evictions)) << what;
+  EXPECT_EQ(m.counter_sum("writebacks"), count(stats.data.writebacks))
+      << what;
+
+  data::RouteStats routes;
+  for (hw::MemoryNodeId src = 0; src < nodes.size(); ++src) {
+    for (hw::MemoryNodeId dst = 0; dst < nodes.size(); ++dst) {
+      const data::RouteStats& route = rt.data().transfers().route_stats(src, dst);
+      const obs::Labels labels = {{"src", p.memory_node(src).name()},
+                                  {"dst", p.memory_node(dst).name()}};
+      EXPECT_EQ(m.counter_value("transfers", labels), count(route.transfers))
+          << what << " route " << src << "->" << dst;
+      EXPECT_EQ(m.counter_value("bytes_transferred", labels),
+                count(route.bytes))
+          << what << " route " << src << "->" << dst;
+      routes.transfers += route.transfers;
+      routes.bytes += route.bytes;
+    }
+  }
+  EXPECT_EQ(routes.transfers, stats.transfers.transfer_count) << what;
+  EXPECT_EQ(routes.bytes, stats.transfers.bytes_moved) << what;
+  EXPECT_EQ(m.counter_sum("transfers"), count(stats.transfers.transfer_count))
+      << what;
+  EXPECT_EQ(m.counter_sum("bytes_transferred"),
+            count(stats.transfers.bytes_moved))
+      << what;
+}
+
 TEST(ObsProperty, MetricsSnapshotReconcilesWithRunStats) {
   const hw::Platform p = hw::make_workstation();
   for (const char* scheduler : kSchedulers) {
     const std::unique_ptr<core::Runtime> run = make_run(p, scheduler);
     core::Runtime& rt = *run;
-    const obs::MetricsRegistry& m = rt.recorder()->metrics();
-    const core::RunStats& stats = rt.stats();
-
-    EXPECT_EQ(m.counter_sum("tasks_completed"),
-              static_cast<double>(stats.tasks_completed))
-        << scheduler;
-    EXPECT_EQ(m.counter_sum("failed_attempts"),
-              static_cast<double>(stats.failed_attempts))
-        << scheduler;
-    EXPECT_EQ(m.counter_sum("bytes_transferred"),
-              static_cast<double>(stats.transfers.bytes_moved))
+    expect_counters_match_stats(rt, scheduler);
+    EXPECT_EQ(rt.recorder()->metrics().counter_sum("tasks_completed"),
+              static_cast<double>(rt.stats().tasks_completed))
         << scheduler;
     // No fault injection in this run, so every task passes through the
     // scheduler exactly once.
-    EXPECT_EQ(m.counter_sum("tasks_scheduled"),
-              static_cast<double>(stats.tasks_completed))
+    EXPECT_EQ(rt.recorder()->metrics().counter_sum("tasks_scheduled"),
+              static_cast<double>(rt.stats().tasks_completed))
         << scheduler;
-
-    for (hw::DeviceId d = 0; d < p.device_count(); ++d) {
-      const obs::Labels labels = {{"device", p.device(d).name()}};
-      // Bitwise: the counter accumulated the identical doubles in the
-      // identical order as DeviceRunStats::busy_seconds.
-      EXPECT_EQ(m.counter_value("busy_seconds", labels),
-                stats.devices[d].busy_seconds)
-          << scheduler << " device " << p.device(d).name();
-      EXPECT_EQ(m.counter_value("busy_energy_j", labels),
-                stats.devices[d].busy_energy_j)
-          << scheduler << " device " << p.device(d).name();
-      EXPECT_EQ(m.counter_value("tasks_completed", labels),
-                static_cast<double>(stats.devices[d].tasks_completed))
-          << scheduler << " device " << p.device(d).name();
-    }
   }
+
+  // Node fault with resurrection, parking and reseeding, Drop losses,
+  // timeouts, eviction, write-back and prefetch (every counter nonzero),
+  // then a second wave on the survivors: publishing must assign the
+  // running totals, not add them to the first wave's.
+  const hw::Platform accounting = hetflow::testing::make_accounting_platform();
+  core::Runtime rt(accounting, sched::make_scheduler("dmda"),
+                   hetflow::testing::accounting_options());
+  hetflow::testing::submit_accounting_workload(rt);
+  rt.wait_all();
+  ASSERT_GT(rt.stats().node_failures, 0u);
+  ASSERT_GT(rt.stats().tasks_lost, 0u);
+  expect_counters_match_stats(rt, "accounting wave 1");
+  const core::CodeletPtr codelet = hetflow::testing::cpu_gpu_codelet();
+  for (int i = 0; i < 6; ++i) {
+    const data::DataId d =
+        rt.register_data(util::format("wave2_%d", i), 8 << 20);
+    rt.submit(util::format("wave2_%d", i), codelet, 4e9,
+              {{d, data::AccessMode::Write}});
+  }
+  rt.wait_all();
+  expect_counters_match_stats(rt, "accounting wave 2");
 }
 
 TEST(ObsProperty, LastDecisionWinnerIsTheDeviceTheTaskRanOn) {
