@@ -60,16 +60,10 @@ using namespace hetflow;
 bool g_validate = false;
 bool g_metrics = false;
 
-core::RuntimeOptions lean_options(std::size_t expected_tasks = 0,
-                                  std::size_t expected_data = 0) {
+core::RuntimeOptions lean_options() {
   core::RuntimeOptions options;
   options.record_trace = false;      // measuring the runtime, not the tracer
   options.use_history_model = false; // static cost model only
-  // Capacity hints: generators know their exact task/handle counts, so
-  // the pools are pre-faulted in the (untimed) constructor — the timed
-  // region measures steady-state per-task cost, not one-time allocation.
-  options.expected_tasks = expected_tasks;
-  options.expected_data = expected_data;
   options.validate = g_validate;
   options.metrics = g_metrics;
   return options;
@@ -112,7 +106,7 @@ double wall_since(std::chrono::steady_clock::time_point begin) {
 /// chain: task i RW-accesses the single handle -> depends on task i-1.
 ShapeResult run_chain(const hw::Platform& platform, std::size_t n) {
   core::Runtime rt(platform, sched::make_scheduler("eager"),
-                   lean_options(n, 1));
+                   lean_options());
   const data::DataId h = rt.register_data("h", 1024);
   // hetflow-lint: allow(det-wallclock)
   const auto t0 = std::chrono::steady_clock::now();
@@ -135,7 +129,7 @@ ShapeResult run_chain(const hw::Platform& platform, std::size_t n) {
 /// fanout: one writer, n-2 parallel readers, one RW sink (WAR fan-in).
 ShapeResult run_fanout(const hw::Platform& platform, std::size_t n) {
   core::Runtime rt(platform, sched::make_scheduler("eager"),
-                   lean_options(n, 1));
+                   lean_options());
   const data::DataId h = rt.register_data("h", 1024);
   // hetflow-lint: allow(det-wallclock)
   const auto t0 = std::chrono::steady_clock::now();
@@ -164,7 +158,7 @@ ShapeResult run_layered(const hw::Platform& platform, std::size_t n,
                         const std::string& scheduler = "eager",
                         std::size_t width = 1024) {
   core::Runtime rt(platform, sched::make_scheduler(scheduler),
-                   lean_options(n, n));
+                   lean_options());
   util::Rng rng(7);
   std::vector<data::DataId> prev;
   std::vector<data::DataId> current;
@@ -221,7 +215,7 @@ ShapeResult run_layered(const hw::Platform& platform, std::size_t n,
 ShapeResult run_burst(const hw::Platform& platform, std::size_t n,
                       std::size_t width = 512) {
   core::Runtime rt(platform, sched::make_scheduler("eager"),
-                   lean_options(n, 1));
+                   lean_options());
   const data::DataId h = rt.register_data("h", 1024);
   // hetflow-lint: allow(det-wallclock)
   const auto t0 = std::chrono::steady_clock::now();

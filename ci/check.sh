@@ -14,25 +14,28 @@
 #      scheduling with a mid-run node kill, --validate (full audit +
 #      inter-node directory invariants) and --metrics, for both
 #      placement policies, plus bench_cluster_scaling --smoke
-#   6. rebuild with HETFLOW_SANITIZE=address,undefined and run the full
+#   6. benchmark harness smoke: build hetflow_perfbench and run each of
+#      the four BENCHMARK.json workloads for one second; each run must
+#      report "correct": true and "failed": 0
+#   7. rebuild with HETFLOW_SANITIZE=address,undefined and run the full
 #      suite again under the sanitizers (including the serve smoke)
-#   7. rebuild with HETFLOW_SANITIZE=thread and run the parallel-sweep,
+#   8. rebuild with HETFLOW_SANITIZE=thread and run the parallel-sweep,
 #      retry/timeout, campaign-checkpoint, observability golden/
 #      determinism and cluster determinism/failure tests plus a --jobs 4
 #      hetflow_bench smoke sweep under TSan — proves the
 #      thread-confinement contract (docs/parallelism.md), not just
 #      asserts it
-#   8. checkpoint/resume smoke: a campaign killed after two rounds and
+#   9. checkpoint/resume smoke: a campaign killed after two rounds and
 #      resumed from its checkpoint must report the same result as the
 #      uninterrupted run (docs/fault_tolerance.md)
-#   9. coverage floor: rebuild with HETFLOW_COVERAGE=ON, run the obs
+#  10. coverage floor: rebuild with HETFLOW_COVERAGE=ON, run the obs
 #      suites, and require >= 90% line coverage on src/obs/ (gcovr when
 #      installed, plain gcov otherwise)
-#  10. lint: clang-tidy over files changed vs the merge base (all
+#  11. lint: clang-tidy over files changed vs the merge base (all
 #      first-party files when git history is unavailable); fails on any
 #      diagnostic. Without clang-tidy installed, tools/lint.sh falls back
 #      to a strict GCC pass.
-#  11. hetflow_lint: the project-specific static analyzer
+#  12. hetflow_lint: the project-specific static analyzer
 #      (docs/static_analysis.md) over the whole tree in --json mode;
 #      fails on any unsuppressed finding against lint_baseline.txt.
 #
@@ -43,14 +46,14 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="${1:-$(nproc)}"
 cd "$repo_root"
 
-echo "=== [1/11] build (WERROR) ==="
+echo "=== [1/12] build (WERROR) ==="
 cmake -B build-ci -S . -DHETFLOW_WERROR=ON
 cmake --build build-ci -j "$jobs"
 
-echo "=== [2/11] ctest (plain) ==="
+echo "=== [2/12] ctest (plain) ==="
 ctest --test-dir build-ci --output-on-failure -j "$jobs"
 
-echo "=== [3/11] core-overhead bench smoke (10^4 tasks) ==="
+echo "=== [3/12] core-overhead bench smoke (10^4 tasks) ==="
 # Catches hot-path regressions that unit tests miss: the smoke mode runs
 # every DAG shape at 10^4 tasks plus the HEFT plan sanity, and exits
 # non-zero on zero throughput, a failed count cross-check, or a blown
@@ -64,7 +67,7 @@ echo "=== [3/11] core-overhead bench smoke (10^4 tasks) ==="
 # diffed against the committed full run (bench_diff.py refuses that).
 (cd build-ci/bench && ./bench_core_overhead --smoke --validate --metrics)
 
-echo "=== [4/11] serve front-end smoke ==="
+echo "=== [4/12] serve front-end smoke ==="
 # The serve smoke drives the closed-loop multi-tenant load generator at
 # two scale points and fails on any bounded-queue or bounded-p99
 # violation; the fairness/starvation detectors prove themselves live in
@@ -74,7 +77,7 @@ echo "=== [4/11] serve front-end smoke ==="
 build-ci/tools/hetflow_check --selftest > /dev/null
 python3 tools/bench_diff.py --selftest > /dev/null
 
-echo "=== [5/11] cluster smoke (two-level scheduling + node fault) ==="
+echo "=== [5/12] cluster smoke (two-level scheduling + node fault) ==="
 # A whole-node kill with recovery on a 4-node cluster, audited end to
 # end: --validate runs the full checker battery including the
 # inter-node directory invariants (check_cluster), under both placement
@@ -90,7 +93,25 @@ build-ci/tools/hetflow_run --workflow cybershake:4,20 --platform cluster:4,4,1 \
     --sched cluster:eager --node-fail 0.05@0 --validate > /dev/null
 (cd build-ci/bench && ./bench_cluster_scaling --smoke > /dev/null)
 
-echo "=== [6/11] ctest (ASan + UBSan) ==="
+echo "=== [6/12] benchmark harness smoke (perfbench, 1 s per workload) ==="
+# hetflow_perfbench reads src/ APIs (RuntimeOptions, Recorder,
+# SchedContext) that no other stage compiles it against; a break there
+# would otherwise surface only at benchmark time. Each workload runs for
+# one second and must pass the harness's own output, premise and
+# determinism checks with no failed operation.
+for workload in pegasus-hpc pegasus-workstation cluster-observed \
+                serve-tenants; do
+  result="$(CARGO_TARGET_DIR=build-ci/perfbench python3 perfbench/run.py \
+      --workload "$workload" --seed 7 --seconds 1 --trace 0 | tail -n 1)"
+  python3 -c '
+import json, sys
+result = json.loads(sys.argv[2])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("ci/check.sh: perfbench %s: %s" % (sys.argv[1], sys.argv[2]))
+' "$workload" "$result"
+done
+
+echo "=== [7/12] ctest (ASan + UBSan) ==="
 # The full suite runs sanitized, which covers the retry/timeout/blacklist
 # tests (core_failure_test), the kill-and-resume checkpoint property
 # tests (workflow_campaign_test) and the rng state round-trip
@@ -105,7 +126,7 @@ build-asan/tools/hetflow_run --workflow montage:32 --platform cluster:4,4,1 \
     --sched cluster:dmda --node-fail 0.05@1+0.2 --validate --metrics \
     > /dev/null
 
-echo "=== [7/11] parallel sweep + obs + cluster determinism under TSan ==="
+echo "=== [8/12] parallel sweep + obs + cluster determinism under TSan ==="
 cmake -B build-tsan -S . -DHETFLOW_WERROR=ON -DHETFLOW_SANITIZE=thread
 cmake --build build-tsan -j "$jobs" \
       --target exec_pool_test exec_parallel_test core_failure_test \
@@ -124,7 +145,7 @@ build-tsan/tools/hetflow_bench \
     > build-tsan/sweep_jobs1.csv
 cmp build-tsan/sweep_jobs4.csv build-tsan/sweep_jobs1.csv
 
-echo "=== [8/11] checkpoint/resume round-trip smoke ==="
+echo "=== [9/12] checkpoint/resume round-trip smoke ==="
 run="build-ci/tools/hetflow_run"
 campaign_args=(--campaign surrogate --surface branin --evals 24 --batch 6)
 "$run" "${campaign_args[@]}" > build-ci/campaign_straight.txt
@@ -136,7 +157,7 @@ campaign_args=(--campaign surrogate --surface branin --evals 24 --batch 6)
 cmp <(grep best build-ci/campaign_straight.txt) \
     <(grep best build-ci/campaign_resumed.txt)
 
-echo "=== [9/11] observability line-coverage floor ==="
+echo "=== [10/12] observability line-coverage floor ==="
 # The obs layer is the serialization boundary the golden suites pin
 # down; unexecuted code there is unpinned code. Floor: 90% of the lines
 # in src/obs/ must run under the obs + trace test binaries.
@@ -171,7 +192,7 @@ else
     }'
 fi
 
-echo "=== [10/11] lint (changed files) ==="
+echo "=== [11/12] lint (changed files) ==="
 changed=()
 if base="$(git merge-base HEAD origin/main 2>/dev/null ||
            git rev-parse HEAD~1 2>/dev/null)"; then
@@ -187,8 +208,8 @@ else
   tools/lint.sh build-ci
 fi
 
-echo "=== [11/11] hetflow_lint (whole tree) ==="
-# Stage 10's lint.sh already runs the text gate; this stage pins the JSON
+echo "=== [12/12] hetflow_lint (whole tree) ==="
+# Stage 11's lint.sh already runs the text gate; this stage pins the JSON
 # contract (docs/static_analysis.md) and the baseline workflow the way
 # downstream tooling consumes them.
 report="build-ci/hetflow_lint.json"

@@ -31,27 +31,9 @@ data::AccessMode parse_mode(const std::string& tag) {
   throw ParseError("unknown access mode '" + tag + "'");
 }
 
-const char* kind_tag(trace::SpanKind kind) {
-  switch (kind) {
-    case trace::SpanKind::Exec:
-      return "exec";
-    case trace::SpanKind::FailedExec:
-      return "failed";
-    case trace::SpanKind::Overhead:
-      return "overhead";
-  }
-  return "exec";
-}
-
 trace::SpanKind parse_kind(const std::string& tag) {
-  if (tag == "exec") {
-    return trace::SpanKind::Exec;
-  }
-  if (tag == "failed") {
-    return trace::SpanKind::FailedExec;
-  }
-  if (tag == "overhead") {
-    return trace::SpanKind::Overhead;
+  if (const auto kind = trace::parse_span_kind(tag)) {
+    return *kind;
   }
   throw ParseError("unknown span kind '" + tag + "'");
 }
@@ -132,7 +114,7 @@ std::string to_audit_json(const AuditRecord& record) {
     entry["device"] = static_cast<std::int64_t>(span.device);
     entry["start"] = span.start;
     entry["end"] = span.end;
-    entry["kind"] = kind_tag(span.kind);
+    entry["kind"] = trace::to_string(span.kind);
     spans.push_back(std::move(entry));
   }
   run["spans"] = std::move(spans);

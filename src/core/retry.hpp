@@ -43,8 +43,10 @@ enum class ExhaustionPolicy : std::uint8_t {
 /// legacy behaviour exactly: immediate retries, no timeout, no
 /// blacklist, abort on exhaustion.
 struct RetryPolicy {
-  /// Attempt budget per task; 0 inherits RuntimeOptions::max_attempts.
-  std::size_t max_attempts = 0;
+  /// Attempt budget per task (at least 1; the Runtime constructor
+  /// rejects 0). An attempt beyond it aborts the run or drops the task,
+  /// per on_exhausted.
+  std::size_t max_attempts = 50;
   /// First retry delay in simulated seconds; 0 = retry immediately
   /// (which also skips the backoff event entirely, keeping legacy event
   /// ordering byte-identical).

@@ -151,6 +151,11 @@ Runtime::Runtime(const hw::Platform& platform,
         "time, which a full-graph plan cannot absorb",
         scheduler_->name().c_str()));
   }
+  if (options_.retry.max_attempts == 0) {
+    throw InvalidArgument(
+        "RetryPolicy::max_attempts must be at least 1: every task needs "
+        "one attempt to run");
+  }
   if (options_.failure_model.enabled() &&
       options_.failure_model.hang_fraction() > 0.0 &&
       options_.retry.timeout_s <= 0.0) {
@@ -170,19 +175,6 @@ Runtime::Runtime(const hw::Platform& platform,
   stats_.devices.resize(platform.device_count());
   for (std::size_t i = 0; i < platform.device_count(); ++i) {
     stats_.devices[i].device = static_cast<hw::DeviceId>(i);
-  }
-  // Capacity hints: pure reservation (allocation + first-touch), zero
-  // effect on the submit sequence or any simulated result.
-  if (options_.expected_tasks > 0) {
-    tasks_.reserve(options_.expected_tasks);
-    dependents_.reserve(options_.expected_tasks);
-    dep_mark_.reserve(options_.expected_tasks);
-    deps_open_.reserve(options_.expected_tasks);
-    task_states_.reserve(options_.expected_tasks);
-  }
-  if (options_.expected_data > 0) {
-    handle_uses_.reserve(options_.expected_data);
-    data_.reserve(options_.expected_data);
   }
 }
 
@@ -665,10 +657,10 @@ void Runtime::begin_execution(Task& task, hw::DeviceId id) {
   const hw::Device& device = platform_->device(id);
   set_task_state(task, TaskState::Running);
   task.note_attempt();
-  if (task.attempts() > effective_max_attempts()) {
+  if (task.attempts() > options_.retry.max_attempts) {
     throw Error(util::format("task '%s' exceeded %zu attempts",
                              std::string(task.name()).c_str(),
-                             effective_max_attempts()));
+                             options_.retry.max_attempts));
   }
 
   const sim::SimTime now = queue_.now();
@@ -926,7 +918,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
   // abandoned instead of aborting the run. Under Abort the existing
   // guard in start_next throws when the next attempt begins.
   if (options_.retry.on_exhausted == ExhaustionPolicy::Drop &&
-      task.attempts() >= effective_max_attempts()) {
+      task.attempts() >= options_.retry.max_attempts) {
     abandon_task(task);
     pump_all();
     return;
@@ -1401,11 +1393,6 @@ void Runtime::abandon_task(Task& task) {
       frontier.push_back(&tasks_[dependent]);
     }
   }
-}
-
-std::size_t Runtime::effective_max_attempts() const noexcept {
-  return options_.retry.max_attempts > 0 ? options_.retry.max_attempts
-                                         : options_.max_attempts;
 }
 
 double Runtime::exec_estimate(const Task& task, const hw::Device& device,

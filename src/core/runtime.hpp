@@ -81,13 +81,9 @@ struct RuntimeOptions {
   double noise_cv = 0.0;
   hw::FailureModel failure_model;
   FailurePolicy failure_policy = FailurePolicy::RetrySameDevice;
-  /// A task attempt beyond this count aborts the run (guards against
-  /// pathological failure rates). RetryPolicy::max_attempts, when set,
-  /// takes precedence; RetryPolicy::on_exhausted decides abort vs drop.
-  std::size_t max_attempts = 50;
-  /// Fault-tolerance knobs: retry backoff, per-attempt timeout, device
-  /// blacklisting (see core/retry.hpp). Defaults preserve the legacy
-  /// immediate-retry behaviour byte-for-byte.
+  /// Fault-tolerance knobs: attempt budget, retry backoff, per-attempt
+  /// timeout, device blacklisting (see core/retry.hpp). Defaults
+  /// preserve the legacy immediate-retry behaviour byte-for-byte.
   RetryPolicy retry;
   /// Scheduled whole-node failures (cluster fault domains). A fault
   /// whose time falls beyond the run's natural drain never fires.
@@ -111,16 +107,6 @@ struct RuntimeOptions {
   /// and the scheduler decision log — surfaced via recorder(). Off by
   /// default; the off path leaves every legacy output byte-identical.
   bool metrics = false;
-  /// Capacity hints: expected task / data-handle counts for this run
-  /// (0 = unknown). When set, the constructor pre-allocates and
-  /// pre-faults the per-task and per-handle pools so the submit loop
-  /// pays no chunk allocations, vector growth copies, or first-touch
-  /// page faults. Pure reservation — the submit/registration sequence
-  /// and every simulated result are identical with or without hints
-  /// (property-tested in core_memo_test). Over- or under-estimating is
-  /// safe; growth past a hint falls back to the normal amortized path.
-  std::size_t expected_tasks = 0;
-  std::size_t expected_data = 0;
 };
 
 class Runtime {
@@ -397,7 +383,6 @@ class Runtime {
   void park_task(Task& task);
   /// Re-readies parked tasks whose accesses are no longer blocked.
   void release_parked();
-  std::size_t effective_max_attempts() const noexcept;
   /// Logs a Blacklist/Probation event for `id` at the current time (no-op
   /// with metrics off).
   void record_device_event(obs::EventKind kind, hw::DeviceId id);

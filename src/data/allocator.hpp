@@ -32,20 +32,6 @@ class MemoryLedger {
   /// Records a use for LRU ordering.
   void touch(DataId data, hw::MemoryNodeId node);
 
-  /// Capacity hint for a known handle count. Resizes (not reserves) the
-  /// flat directories: zero is exactly the value on-demand growth fills
-  /// with (no pins, never used), so pre-sizing changes no answer — it
-  /// only moves the growth and first-touch cost out of the hot path.
-  void reserve(std::size_t handles) {
-    const std::size_t slots = handles * node_count_;
-    if (pins_.size() < slots) {
-      pins_.resize(slots);
-    }
-    if (last_use_.size() < slots) {
-      last_use_.resize(slots);
-    }
-  }
-
   /// Sorts `candidates` least-recently-used first (never-touched replicas
   /// come first, in id order).
   void lru_order(hw::MemoryNodeId node, std::vector<DataId>& candidates) const;

@@ -30,10 +30,6 @@ class CoherenceDirectory {
   /// The home node of each new handle starts as its sole Shared replica.
   void sync_with_registry();
 
-  /// Capacity hint for a known registration count (pure reservation;
-  /// states_.size() keeps tracking the registered count exactly).
-  void reserve(std::size_t handles) { states_.reserve(handles * node_count_); }
-
   /// Fast-path equivalent of sync_with_registry for exactly one freshly
   /// registered handle (the DataManager::register_data hot loop): appends
   /// the handle's per-node slots and seeds the home replica directly,

@@ -44,9 +44,6 @@ class DataRegistry {
   std::size_t count() const noexcept { return handles_.size(); }
   const std::vector<DataHandle>& handles() const noexcept { return handles_; }
 
-  /// Capacity hint for a known registration count (pure reservation).
-  void reserve(std::size_t handles) { handles_.reserve(handles); }
-
   /// Total bytes across all handles.
   std::uint64_t total_bytes() const noexcept { return total_bytes_; }
 

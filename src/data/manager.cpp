@@ -25,13 +25,6 @@ DataManagerStats DataManager::stats() const {
   return out;
 }
 
-void DataManager::reserve(std::size_t handles) {
-  registry_.reserve(handles);
-  directory_.reserve(handles);
-  ledger_.reserve(handles);
-  in_flight_.reserve(handles * platform_->memory_node_count());
-}
-
 DataId DataManager::register_data(std::string_view name, std::uint64_t bytes,
                                   hw::MemoryNodeId home_node) {
   HETFLOW_REQUIRE_MSG(home_node < platform_->memory_node_count(),

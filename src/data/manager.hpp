@@ -38,11 +38,6 @@ class DataManager {
   DataId register_data(std::string_view name, std::uint64_t bytes,
                        hw::MemoryNodeId home_node = 0);
 
-  /// Capacity hint: pre-allocates every per-handle directory (registry,
-  /// coherence states, pin/LRU ledger, in-flight slots) for `handles`
-  /// registrations. Pure reservation — see RuntimeOptions::expected_data.
-  void reserve(std::size_t handles);
-
   const DataRegistry& registry() const noexcept { return registry_; }
   const CoherenceDirectory& directory() const noexcept { return directory_; }
   const TransferEngine& transfers() const noexcept { return transfers_; }

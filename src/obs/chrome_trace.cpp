@@ -9,18 +9,6 @@ namespace hetflow::obs {
 
 namespace {
 
-const char* span_kind_name(trace::SpanKind kind) noexcept {
-  switch (kind) {
-    case trace::SpanKind::Exec:
-      return "exec";
-    case trace::SpanKind::FailedExec:
-      return "failed";
-    case trace::SpanKind::Overhead:
-      return "overhead";
-  }
-  return "?";
-}
-
 util::Json thread_name_meta(std::int64_t tid, const std::string& name) {
   util::Json meta = util::Json::object();
   meta["ph"] = "M";
@@ -102,7 +90,7 @@ std::string chrome_trace_json(const trace::Tracer& tracer,
     event["dur"] = span.duration() * 1e6;
     util::Json args = util::Json::object();
     args["task"] = static_cast<std::int64_t>(span.task_id);
-    args["kind"] = span_kind_name(span.kind);
+    args["kind"] = trace::to_string(span.kind);
     event["args"] = std::move(args);
     events.push_back(std::move(event));
   }

@@ -25,16 +25,10 @@ const char* to_string(EventKind kind) noexcept {
 }
 
 void Recorder::record(Event event) {
-  if (!enabled_) {
-    return;
-  }
   events_.push_back(std::move(event));
 }
 
 void Recorder::add_decision(SchedDecision decision) {
-  if (!enabled_) {
-    return;
-  }
   Event event;
   event.kind = EventKind::Decision;
   event.time = decision.time;

@@ -5,9 +5,9 @@
 //
 // Created by the Runtime when RuntimeOptions::metrics is set and handed
 // (as a raw pointer) to the data layer and, through SchedContext, to the
-// scheduling policies. A null/disabled recorder costs one branch per
-// instrumentation point — the default-off path leaves every legacy
-// output stream byte-identical.
+// scheduling policies. With metrics off the pointer is null, which
+// costs one branch per instrumentation point — the default-off path
+// leaves every legacy output stream byte-identical.
 //
 // Everything is appended from the single-threaded simulation loop in
 // event order, so logs and snapshots are deterministic for a given seed.
@@ -56,10 +56,6 @@ struct Event {
 
 class Recorder {
  public:
-  explicit Recorder(bool enabled = true) : enabled_(enabled) {}
-
-  bool enabled() const noexcept { return enabled_; }
-
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
@@ -77,7 +73,6 @@ class Recorder {
   }
 
  private:
-  bool enabled_;
   MetricsRegistry metrics_;
   std::vector<Event> events_;
   std::vector<SchedDecision> decisions_;

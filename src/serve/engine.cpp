@@ -228,12 +228,6 @@ BatchResult ServeEngine::run_batch() {
   core::RuntimeOptions options;
   options.seed = util::hash_combine(config_.seed, batches_);
   options.validate = config_.validate;
-  std::size_t expected_tasks = 0;
-  for (const JobRef ref : released) {
-    expected_tasks += jobs_[ref].spec.tasks;
-  }
-  options.expected_tasks = expected_tasks;
-  options.expected_data = expected_tasks;  // upper bound: <=1 handle/task
   core::Runtime rt(*platform_,
                    sched::make_scheduler(config_.scheduler, options.seed),
                    options);

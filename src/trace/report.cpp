@@ -67,11 +67,7 @@ std::string spans_to_csv(const Tracer& tracer) {
   for (const Span& span : tracer.spans()) {
     csv.row({std::to_string(span.task_id), std::string(span.name),
              std::to_string(span.device), util::format("%.9f", span.start),
-             util::format("%.9f", span.end),
-             span.kind == SpanKind::Exec
-                 ? "exec"
-                 : (span.kind == SpanKind::FailedExec ? "failed"
-                                                      : "overhead")});
+             util::format("%.9f", span.end), to_string(span.kind)});
   }
   return out.str();
 }

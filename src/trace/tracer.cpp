@@ -6,6 +6,28 @@
 
 namespace hetflow::trace {
 
+const char* to_string(SpanKind kind) noexcept {
+  switch (kind) {
+    case SpanKind::Exec:
+      return "exec";
+    case SpanKind::FailedExec:
+      return "failed";
+    case SpanKind::Overhead:
+      return "overhead";
+  }
+  return "?";
+}
+
+std::optional<SpanKind> parse_span_kind(std::string_view tag) noexcept {
+  for (const SpanKind kind :
+       {SpanKind::Exec, SpanKind::FailedExec, SpanKind::Overhead}) {
+    if (tag == to_string(kind)) {
+      return kind;
+    }
+  }
+  return std::nullopt;
+}
+
 void Tracer::add(Span span) {
   if (!enabled_) {
     return;

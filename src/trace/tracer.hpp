@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,12 @@
 namespace hetflow::trace {
 
 enum class SpanKind : std::uint8_t { Exec = 0, FailedExec, Overhead };
+
+/// The span kind's tag in every export: span CSV, audit file and Chrome
+/// trace ("exec", "failed", "overhead").
+const char* to_string(SpanKind kind) noexcept;
+/// Inverse of to_string; nullopt for any other tag.
+std::optional<SpanKind> parse_span_kind(std::string_view tag) noexcept;
 
 struct Span {
   std::uint64_t task_id = 0;

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <utility>
@@ -59,19 +58,6 @@ class StableVector {
   const T& operator[](std::size_t i) const noexcept { return *slot(i); }
   T& back() noexcept { return *slot(size_ - 1); }
   const T& back() const noexcept { return *slot(size_ - 1); }
-
-  /// Pre-allocates (and pre-faults) enough chunks for `n` elements.
-  /// Callers with a known workload size reserve before a timed region
-  /// precisely to move chunk allocation and first-touch page faults out
-  /// of it; the memset is the pre-fault (chunk storage is raw bytes —
-  /// elements are placement-constructed over it later as usual).
-  void reserve(std::size_t n) {
-    const std::size_t want = (n + ChunkElems - 1) / ChunkElems;
-    while (chunks_.size() < want) {
-      chunks_.push_back(make_chunk());
-      std::memset(chunks_.back()->storage, 0, ChunkElems * sizeof(T));
-    }
-  }
 
   template <typename... Args>
   T& emplace_back(Args&&... args) {

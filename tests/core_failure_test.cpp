@@ -106,10 +106,18 @@ TEST(Failure, MaxAttemptsAborts) {
   const hw::Platform p = hw::make_cpu_only(1);
   RuntimeOptions options =
       failing_options(10000.0, FailurePolicy::RetrySameDevice);
-  options.max_attempts = 5;
+  options.retry.max_attempts = 5;
   Runtime rt(p, std::make_unique<sched::MctScheduler>(), options);
   rt.submit("doomed", cpu_only_codelet(), 6e9, {});
   EXPECT_THROW(rt.wait_all(), util::Error);
+}
+
+TEST(Failure, ZeroAttemptBudgetIsRejected) {
+  const hw::Platform p = hw::make_cpu_only(1);
+  RuntimeOptions options;
+  options.retry.max_attempts = 0;
+  EXPECT_THROW(Runtime(p, std::make_unique<sched::MctScheduler>(), options),
+               InvalidArgument);
 }
 
 TEST(Failure, DependentsWaitForSuccessfulCompletion) {
@@ -297,11 +305,10 @@ TEST(Retry, TimeoutBudgetLeavesFastTasksAlone) {
   EXPECT_EQ(rt.stats().failed_attempts, 0u);
 }
 
-TEST(Retry, RetryMaxAttemptsOverridesRuntimeBudget) {
+TEST(Retry, DropAbandonsAfterExactlyMaxAttempts) {
   const hw::Platform p = hw::make_cpu_only(1);
   RuntimeOptions options =
       failing_options(10000.0, FailurePolicy::RetrySameDevice);
-  options.max_attempts = 1000;  // legacy budget would retry for a while
   options.retry.max_attempts = 4;
   options.retry.on_exhausted = ExhaustionPolicy::Drop;
   Runtime rt(p, std::make_unique<sched::MctScheduler>(), options);
@@ -363,7 +370,7 @@ RuntimeOptions gpu_flaky_options(std::uint64_t seed) {
   options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);
   options.failure_policy = FailurePolicy::Reschedule;
   options.seed = seed;
-  options.max_attempts = 500;
+  options.retry.max_attempts = 500;
   return options;
 }
 

@@ -229,7 +229,7 @@ TEST(CompletionEngine, CancelHeavyFaultRunValidatesCleanAndReproduces) {
     options.failure_model = hw::FailureModel::uniform(10.0);
     options.failure_model.set_hang_fraction(0.3);
     options.failure_policy = core::FailurePolicy::Reschedule;
-    options.max_attempts = 500;
+    options.retry.max_attempts = 500;
     options.retry.timeout_s = 5.0;  // generous: successes finish inside it
     options.retry.backoff_base_s = 0.01;
     options.retry.blacklist_after = 3;
@@ -279,7 +279,7 @@ TEST(CostMemoization, BlacklistTransitionsInvalidateCache) {
   options.seed = 9;
   options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);
   options.failure_policy = core::FailurePolicy::Reschedule;
-  options.max_attempts = 500;
+  options.retry.max_attempts = 500;
   options.retry.blacklist_after = 2;
   options.retry.probation_s = 2.0;
   core::Runtime rt(p, sched::make_scheduler("mct"), options);
@@ -304,7 +304,7 @@ TEST(CostMemoization, EstimatesMatchDirectFormulaUnderBlacklisting) {
   core::RuntimeOptions options = noisy_options(19, true);
   options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);
   options.failure_policy = core::FailurePolicy::Reschedule;
-  options.max_attempts = 500;
+  options.retry.max_attempts = 500;
   options.retry.blacklist_after = 2;
   options.retry.probation_s = 2.0;
   const Checked checked = run_checked("dmda", options, submit_independent);
@@ -312,30 +312,6 @@ TEST(CostMemoization, EstimatesMatchDirectFormulaUnderBlacklisting) {
             std::string::npos);
   EXPECT_GT(checked.checks, 0u);
   EXPECT_EQ(checked.mismatches, 0u) << checked.first_mismatch;
-}
-
-// Capacity hints are pure reservation: a run with
-// expected_tasks/expected_data set (even wildly wrong in either
-// direction) serializes byte-identically to a run with no hints.
-TEST(CapacityHints, HintsNeverChangeResults) {
-  const auto run = [](std::size_t tasks_hint, std::size_t data_hint) {
-    const hw::Platform p = hw::make_workstation();
-    core::RuntimeOptions options;
-    options.metrics = true;
-    options.seed = 51;
-    options.noise_cv = 0.2;
-    options.expected_tasks = tasks_hint;
-    options.expected_data = data_hint;
-    core::Runtime rt(p, sched::make_scheduler("dmda"), options);
-    workflow::submit_workflow(rt, workflow::make_montage(12),
-                              workflow::CodeletLibrary::standard());
-    rt.wait_all();
-    return trace::spans_to_csv(rt.tracer()) +
-           rt.recorder()->metrics().to_json_string();
-  };
-  const std::string no_hints = run(0, 0);
-  EXPECT_EQ(no_hints, run(10000, 10000));  // over-estimate
-  EXPECT_EQ(no_hints, run(3, 2));          // under-estimate
 }
 
 }  // namespace

@@ -124,16 +124,6 @@ TEST(Metrics, CsvHasHeaderAndOneRowPerEntry) {
   EXPECT_NE(csv.find("makespan_s"), std::string::npos);
 }
 
-TEST(Recorder, DisabledRecorderDropsEverything) {
-  Recorder recorder(false);
-  Event event;
-  event.kind = EventKind::Retry;
-  event.time = 1.0;
-  recorder.record(std::move(event));
-  EXPECT_TRUE(recorder.events().empty());
-  EXPECT_FALSE(recorder.enabled());
-}
-
 TEST(Recorder, DecisionsMirrorAsInstantEvents) {
   Recorder recorder;
   SchedDecision decision;

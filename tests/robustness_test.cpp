@@ -42,7 +42,7 @@ TEST_P(AdversePolicySweep, RetrySamePolicyAlsoCompletes) {
   core::RuntimeOptions options;
   options.failure_model = hw::FailureModel::uniform(0.5);
   options.failure_policy = core::FailurePolicy::RetrySameDevice;
-  options.max_attempts = 100;
+  options.retry.max_attempts = 100;
   const auto stats = workflow::run_workflow(platform, GetParam(), wf, lib,
                                             options);
   EXPECT_EQ(stats.tasks_completed, wf.task_count());

@@ -56,6 +56,16 @@ TEST(Tracer, ChromeJsonIsValidJson) {
   EXPECT_TRUE(found);
 }
 
+TEST(Tracer, SpanKindTagsRoundTrip) {
+  for (const SpanKind kind :
+       {SpanKind::Exec, SpanKind::FailedExec, SpanKind::Overhead}) {
+    EXPECT_EQ(parse_span_kind(to_string(kind)), kind);
+  }
+  EXPECT_EQ(to_string(SpanKind::FailedExec), std::string("failed"));
+  EXPECT_FALSE(parse_span_kind("transfer").has_value());
+  EXPECT_FALSE(parse_span_kind("").has_value());
+}
+
 TEST(Tracer, AsciiGanttShowsDeviceRows) {
   const hw::Platform p = hw::make_workstation();
   Tracer tracer;

@@ -69,15 +69,12 @@ check::RunRecord parse_chrome_trace(const util::Json& doc) {
       continue;
     }
     const util::Json& args = event.at("args");
-    const std::string& kind = args.at("kind").as_string();
-    trace::Span span;
-    if (kind == "failed") {
-      span.kind = trace::SpanKind::FailedExec;
-    } else if (kind == "overhead") {
-      span.kind = trace::SpanKind::Overhead;
-    } else if (kind != "exec") {
+    const auto kind = trace::parse_span_kind(args.at("kind").as_string());
+    if (!kind) {
       continue;
     }
+    trace::Span span;
+    span.kind = *kind;
     const auto tid = static_cast<std::int64_t>(event.at("tid").as_number());
     note_device(tid);
     span.name = event.at("name").as_string();
