@@ -28,9 +28,10 @@
 #   9. checkpoint/resume smoke: a campaign killed after two rounds and
 #      resumed from its checkpoint must report the same result as the
 #      uninterrupted run (docs/fault_tolerance.md)
-#  10. coverage floor: rebuild with HETFLOW_COVERAGE=ON, run the obs
-#      suites, and require >= 90% line coverage on src/obs/ (gcovr when
-#      installed, plain gcov otherwise)
+#  10. coverage floors: rebuild with HETFLOW_COVERAGE=ON and require
+#      >= 90% line coverage on src/obs/ under the obs suites and >= 95%
+#      on src/sched/ under the scheduler suites (gcovr when installed,
+#      plain gcov otherwise)
 #  11. lint: clang-tidy over files changed vs the merge base (all
 #      first-party files when git history is unavailable); fails on any
 #      diagnostic. Without clang-tidy installed, tools/lint.sh falls back
@@ -157,26 +158,34 @@ campaign_args=(--campaign surrogate --surface branin --evals 24 --batch 6)
 cmp <(grep best build-ci/campaign_straight.txt) \
     <(grep best build-ci/campaign_resumed.txt)
 
-echo "=== [10/12] observability line-coverage floor ==="
-# The obs layer is the serialization boundary the golden suites pin
-# down; unexecuted code there is unpinned code. Floor: 90% of the lines
-# in src/obs/ must run under the obs + trace test binaries.
+echo "=== [10/12] line-coverage floors (src/obs, src/sched) ==="
+# The obs and sched layers are what the golden suites pin down;
+# unexecuted code there is unpinned code. Each floor counts only the
+# runs of its own test binaries (counters are reset in between):
+#   src/obs/   >= 90% under the obs + trace suites;
+#   src/sched/ >= 95% under the sched_* suites (schedule goldens
+#              included), cluster determinism and the cost-memo oracle.
 cmake -B build-cov -S . -DHETFLOW_COVERAGE=ON
-cmake --build build-cov -j "$jobs" \
-      --target obs_metrics_test obs_golden_test obs_determinism_test \
-               obs_property_test trace_test
-ctest --test-dir build-cov --output-on-failure -j "$jobs" \
-      -R 'obs_metrics_test|obs_golden_test|obs_determinism_test|obs_property_test|trace_test'
-if command -v gcovr > /dev/null; then
-  gcovr --root . --filter 'src/obs/' --fail-under-line 90 \
-        --print-summary build-cov
-else
-  # gcov fallback: aggregate "Lines executed" over the hf_obs objects.
-  obs_obj_dir="build-cov/src/CMakeFiles/hf_obs.dir/obs"
-  gcov --no-output --object-directory "$obs_obj_dir" \
-       "$obs_obj_dir"/*.gcda 2> /dev/null |
-  awk '
-    /^File /      { keep = ($0 ~ /src\/obs\//) }
+
+# coverage_floor <library target> <source dir> <floor %> <test>...
+coverage_floor() {
+  local library="$1" dir="$2" floor="$3"
+  shift 3
+  cmake --build build-cov -j "$jobs" --target "$@"
+  find build-cov -name '*.gcda' -delete
+  ctest --test-dir build-cov --output-on-failure -j "$jobs" \
+        -R "^($(IFS='|'; echo "$*"))\$"
+  if command -v gcovr > /dev/null; then
+    gcovr --root . --filter "$dir/" --fail-under-line "$floor" \
+          --print-summary build-cov
+    return
+  fi
+  # gcov fallback: aggregate "Lines executed" over the library's objects.
+  local obj_dir="build-cov/src/CMakeFiles/$library.dir/${dir#src/}"
+  gcov --no-output --object-directory "$obj_dir" \
+       "$obj_dir"/*.gcda 2> /dev/null |
+  awk -v dir="$dir/" -v floor="$floor" '
+    /^File /      { keep = (index($0, dir) > 0) }
     keep && /^Lines executed:/ {
       split($0, parts, /[:%]/)        # "Lines executed" | pct | " of N"
       pct = parts[2] + 0
@@ -185,12 +194,21 @@ else
       keep = 0
     }
     END {
-      if (total == 0) { print "coverage: no gcov data for src/obs"; exit 1 }
+      if (total == 0) { print "coverage: no gcov data for " dir; exit 1 }
       pct = 100.0 * covered / total
-      printf "src/obs line coverage: %.1f%% (floor 90%%)\n", pct
-      exit (pct >= 90.0) ? 0 : 1
+      printf "%s line coverage: %.1f%% of %d lines (floor %d%%)\n", dir,
+             pct, total, floor
+      exit (pct >= floor) ? 0 : 1
     }'
-fi
+}
+
+coverage_floor hf_obs src/obs 90 \
+    obs_metrics_test obs_golden_test obs_determinism_test obs_property_test \
+    trace_test
+coverage_floor hf_sched src/sched 95 \
+    sched_policies_test sched_heft_test sched_cpop_test sched_peft_test \
+    sched_property_test sched_golden_test cluster_determinism_test \
+    core_memo_test
 
 echo "=== [11/12] lint (changed files) ==="
 changed=()

@@ -264,19 +264,6 @@ bool Runtime::is_partitioned(data::DataId parent) const {
 TaskId Runtime::submit(std::string_view name, CodeletPtr codelet, double flops,
                        std::span<const data::Access> accesses,
                        double priority) {
-  // The codelet must be runnable somewhere on this platform.
-  bool supported = false;
-  for (const hw::Device& device : platform_->devices()) {
-    if (codelet->supports(device.type())) {
-      supported = true;
-      break;
-    }
-  }
-  if (!supported) {
-    throw InvalidArgument("codelet '" + codelet->name() +
-                          "' runs on no device of platform '" +
-                          platform_->name() + "'");
-  }
   // Guard the per-access partition probes on the maps being non-empty:
   // runs that never partition (the 10^6-task regime) skip two hash
   // lookups per access.
@@ -306,6 +293,34 @@ TaskId Runtime::submit(std::string_view name, CodeletPtr codelet, double flops,
           std::string(data_.registry().handle(access.data).name) +
           "' after unpartition");
     }
+  }
+  // The task must be runnable somewhere on this platform: on a device
+  // the codelet supports whose memory can hold the whole working set
+  // (exec_estimate rules out every other device).
+  bool supported = false;
+  bool fits = false;
+  for (const hw::Device& device : platform_->devices()) {
+    if (codelet->supports(device.type())) {
+      supported = true;
+      if (working_set <=
+          platform_->memory_node(device.memory_node()).capacity_bytes()) {
+        fits = true;
+        break;
+      }
+    }
+  }
+  if (!supported) {
+    throw InvalidArgument("codelet '" + codelet->name() +
+                          "' runs on no device of platform '" +
+                          platform_->name() + "'");
+  }
+  if (!fits) {
+    throw InvalidArgument(util::format(
+        "task '%.*s' needs %llu bytes of data, more than the memory of any "
+        "device of platform '%s' that runs codelet '%s'",
+        static_cast<int>(name.size()), name.data(),
+        static_cast<unsigned long long>(working_set),
+        platform_->name().c_str(), codelet->name().c_str()));
   }
   if (options_.validate) {
     check::CheckReport report;
@@ -588,26 +603,6 @@ void Runtime::pump_device(hw::DeviceId id) {
       const hw::Device& device = platform_->device(id);
       Task* pulled = scheduler_->on_device_idle(device);
       if (pulled == nullptr) {
-        return;
-      }
-      // Fused pull fast path: the queue is empty and the device idle, so
-      // internal_assign would push the task only for start_next to pop
-      // it back within this same call — and with no recorder, no
-      // prefetch and no queued-estimate mass the round-trip (deque
-      // churn, one exec_estimate, the est add/subtract that cancels to
-      // exactly 0.0) is unobservable. Dispatch directly.
-      if (recorder_ == nullptr && !options_.enable_prefetch &&
-          state.queued_est_seconds == 0.0) {
-        Task& task = *pulled;
-        HETFLOW_REQUIRE_MSG(task.state() == TaskState::Ready,
-                            "pulled task is not Ready");
-        HETFLOW_REQUIRE_MSG(
-            task.codelet().supports(device.type()),
-            "pulled task lacks an implementation for this device type");
-        set_task_state(task, TaskState::Queued);
-        task.set_device(id);
-        task.set_dvfs_state(std::nullopt);
-        begin_execution(task, id);
         return;
       }
       internal_assign(*pulled, device, std::nullopt);

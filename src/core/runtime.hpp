@@ -344,8 +344,8 @@ class Runtime {
   void pump_device(hw::DeviceId id);
   void pump_all();
   void start_next(hw::DeviceId id);
-  /// Dispatches `task` on device `id` (shared tail of start_next and the
-  /// fused pull path in pump_device): attempt accounting, data acquire,
+  /// Dispatches `task` on device `id` (the tail of start_next, once the
+  /// task has left the device queue): attempt accounting, data acquire,
   /// noise/failure sampling, completion + watchdog events.
   void begin_execution(Task& task, hw::DeviceId id);
   void finish_task(Task& task, hw::DeviceId id, sim::SimTime started,

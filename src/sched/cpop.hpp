@@ -6,42 +6,24 @@
 // and benefits from zero intra-path communication.
 #pragma once
 
-#include <unordered_map>
-#include <vector>
+#include <cstddef>
 
-#include "core/scheduler.hpp"
+#include "sched/static_plan.hpp"
 
 namespace hetflow::sched {
 
-class CpopScheduler final : public core::Scheduler {
+class CpopScheduler final : public StaticPlanScheduler {
  public:
   std::string name() const override { return "cpop"; }
-  bool requires_full_graph() const noexcept override { return true; }
-
-  void prepare(const std::vector<core::Task*>& all_tasks) override;
-  void on_task_ready(core::Task& task) override;
 
   hw::DeviceId critical_path_device() const noexcept { return cp_device_; }
   std::size_t critical_path_length() const noexcept { return cp_size_; }
 
-  void set_partial_graph(bool partial) noexcept override {
-    partial_graph_ = partial;
-  }
-
  private:
-  struct Plan {
-    hw::DeviceId device = 0;
-  };
-  std::unordered_map<core::TaskId, Plan> plans_;
-  // Release machinery identical to HEFT: per-device planned order.
-  std::vector<std::vector<core::Task*>> device_sequence_;
-  std::vector<std::size_t> next_to_release_;
-  std::unordered_map<core::TaskId, bool> ready_held_;
   hw::DeviceId cp_device_ = 0;
   std::size_t cp_size_ = 0;
-  bool partial_graph_ = false;  ///< see core::Scheduler::set_partial_graph
 
-  void release_available(hw::DeviceId device);
+  void plan(const TaskGraphView& view, PlanBuilder& plan) override;
 };
 
 }  // namespace hetflow::sched

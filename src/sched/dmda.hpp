@@ -1,8 +1,7 @@
 // dmda (deque model, data aware — after StarPU's dmda) — greedy earliest-
 // completion placement where the estimate INCLUDES the time to move the
 // task's missing inputs onto the candidate device, given current link
-// occupancy. An optional locality bonus further favors devices already
-// holding the inputs.
+// occupancy.
 #pragma once
 
 #include "core/scheduler.hpp"
@@ -11,17 +10,8 @@ namespace hetflow::sched {
 
 class DmdaScheduler final : public core::Scheduler {
  public:
-  /// @param locality_weight extra seconds charged per GiB of missing
-  ///        input (0 = pure ECT; small positive values break ECT ties
-  ///        toward data locality).
-  explicit DmdaScheduler(double locality_weight = 0.0)
-      : locality_weight_(locality_weight) {}
-
   std::string name() const override { return "dmda"; }
   void on_task_ready(core::Task& task) override;
-
- private:
-  double locality_weight_;
 };
 
 }  // namespace hetflow::sched

@@ -1,6 +1,5 @@
 #include "sched/graph_utils.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "perf/transfer_model.hpp"
@@ -84,42 +83,6 @@ std::vector<double> TaskGraphView::downward_ranks(
   return graph_.downward_ranks(mean_exec_, [&](std::size_t a, std::size_t b) {
     return comm.mean_time_s(edge_bytes(a, b));
   });
-}
-
-double InsertionTimeline::earliest_fit(hw::DeviceId device, double ready,
-                                       double duration) const {
-  const std::vector<Slot>& slots = slots_[device];
-  // Slots are sorted and non-overlapping, so their end times are ordered
-  // too; skip straight past every slot that ends at or before `ready` —
-  // none of them can host or constrain a fit that starts at >= ready.
-  // (A zero-length slot exactly at `ready` is skipped as well: the scan
-  // below then finds the same gap at `ready` the full scan would.)
-  // Without the skip, a plan-time loop over N tasks goes quadratic: HEFT
-  // probes every device timeline once per task, and each probe walked
-  // the whole booked prefix.
-  auto it = std::partition_point(
-      slots.begin(), slots.end(),
-      [ready](const Slot& slot) { return slot.end <= ready; });
-  double cursor = ready;
-  for (; it != slots.end(); ++it) {
-    if (cursor + duration <= it->start) {
-      return cursor;
-    }
-    cursor = std::max(cursor, it->end);
-  }
-  return cursor;
-}
-
-void InsertionTimeline::book(hw::DeviceId device, double start,
-                             double duration) {
-  std::vector<Slot>& slots = slots_[device];
-  const Slot inserted{start, start + duration};
-  slots.insert(
-      std::upper_bound(slots.begin(), slots.end(), inserted,
-                       [](const Slot& a, const Slot& b) {
-                         return a.start < b.start;
-                       }),
-      inserted);
 }
 
 }  // namespace hetflow::sched

@@ -1,6 +1,7 @@
-// Shared machinery for static list schedulers (HEFT, CPOP,
-// critical-path): a dense-index view of the open task graph with edge
-// byte counts and per-task mean execution costs.
+// Shared graph view for the policies that rank the whole DAG (the
+// static planners HEFT, CPOP and PEFT, plus dmdas and critical-path): a
+// dense-index view of the open task graph with edge byte counts and
+// per-task mean execution costs.
 #pragma once
 
 #include <cstdint>
@@ -43,27 +44,6 @@ class TaskGraphView {
   util::Digraph graph_;
   std::unordered_map<std::uint64_t, std::uint64_t> edge_bytes_;
   std::vector<double> mean_exec_;
-};
-
-/// Per-device timeline for insertion-based EFT placement: finds the
-/// earliest gap of `duration` at or after `ready`, and books it.
-class InsertionTimeline {
- public:
-  explicit InsertionTimeline(std::size_t device_count)
-      : slots_(device_count) {}
-
-  /// Earliest start achievable on `device` (does not book).
-  double earliest_fit(hw::DeviceId device, double ready,
-                      double duration) const;
-  /// Books [start, start + duration) on `device`.
-  void book(hw::DeviceId device, double start, double duration);
-
- private:
-  struct Slot {
-    double start;
-    double end;
-  };
-  std::vector<std::vector<Slot>> slots_;
 };
 
 }  // namespace hetflow::sched

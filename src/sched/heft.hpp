@@ -9,49 +9,20 @@
 //      device timeline.
 //
 // The runtime then honors the computed (device, order) assignment: ready
-// tasks are released to their planned device strictly in planned order.
+// tasks are released to their planned device strictly in planned order
+// (StaticPlanScheduler).
 #pragma once
 
-#include <cstddef>
-#include <unordered_map>
-#include <vector>
-
-#include "core/scheduler.hpp"
+#include "sched/static_plan.hpp"
 
 namespace hetflow::sched {
 
-class HeftScheduler final : public core::Scheduler {
+class HeftScheduler final : public StaticPlanScheduler {
  public:
   std::string name() const override { return "heft"; }
-  bool requires_full_graph() const noexcept override { return true; }
-
-  void prepare(const std::vector<core::Task*>& all_tasks) override;
-  void on_task_ready(core::Task& task) override;
-
-  /// Planned device for a task (exposed for tests). Only valid after
-  /// prepare().
-  hw::DeviceId planned_device(core::TaskId id) const;
-  /// Schedule-estimated makespan of the static plan.
-  double planned_makespan() const noexcept { return planned_makespan_; }
-
-  void set_partial_graph(bool partial) noexcept override {
-    partial_graph_ = partial;
-  }
 
  private:
-  struct Plan {
-    hw::DeviceId device = 0;
-    std::size_t order = 0;  ///< position in the device's planned sequence
-  };
-  std::unordered_map<core::TaskId, Plan> plans_;
-  // Per device: planned task sequence and release cursor.
-  std::vector<std::vector<core::Task*>> device_sequence_;
-  std::vector<std::size_t> next_to_release_;
-  std::unordered_map<core::TaskId, bool> ready_held_;
-  double planned_makespan_ = 0.0;
-  bool partial_graph_ = false;  ///< see set_partial_graph
-
-  void release_available(hw::DeviceId device);
+  void plan(const TaskGraphView& view, PlanBuilder& plan) override;
 };
 
 }  // namespace hetflow::sched

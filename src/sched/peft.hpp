@@ -12,36 +12,16 @@
 // devices that finish this task early but strand its descendants.
 #pragma once
 
-#include <unordered_map>
-#include <vector>
-
-#include "core/scheduler.hpp"
+#include "sched/static_plan.hpp"
 
 namespace hetflow::sched {
 
-class PeftScheduler final : public core::Scheduler {
+class PeftScheduler final : public StaticPlanScheduler {
  public:
   std::string name() const override { return "peft"; }
-  bool requires_full_graph() const noexcept override { return true; }
-
-  void prepare(const std::vector<core::Task*>& all_tasks) override;
-  void on_task_ready(core::Task& task) override;
-
-  void set_partial_graph(bool partial) noexcept override {
-    partial_graph_ = partial;
-  }
 
  private:
-  struct Plan {
-    hw::DeviceId device = 0;
-  };
-  std::unordered_map<core::TaskId, Plan> plans_;
-  std::vector<std::vector<core::Task*>> device_sequence_;
-  std::vector<std::size_t> next_to_release_;
-  std::unordered_map<core::TaskId, bool> ready_held_;
-  bool partial_graph_ = false;  ///< see core::Scheduler::set_partial_graph
-
-  void release_available(hw::DeviceId device);
+  void plan(const TaskGraphView& view, PlanBuilder& plan) override;
 };
 
 }  // namespace hetflow::sched

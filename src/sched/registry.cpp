@@ -17,68 +17,62 @@
 
 namespace hetflow::sched {
 
+namespace {
+
+using Factory = std::unique_ptr<core::Scheduler> (*)(std::uint64_t seed);
+
+template <typename Policy, auto... Args>
+std::unique_ptr<core::Scheduler> build(std::uint64_t /*seed*/) {
+  return std::make_unique<Policy>(Args...);
+}
+
+std::unique_ptr<core::Scheduler> build_random(std::uint64_t seed) {
+  return std::make_unique<RandomScheduler>(seed);
+}
+
+struct Entry {
+  const char* name;
+  Factory build;
+};
+
+// Canonical order: scheduler_names() returns the names in this order.
+constexpr Entry kSchedulers[] = {
+    {"eager", build<EagerScheduler>},
+    {"random", build_random},
+    {"round-robin", build<RoundRobinScheduler>},
+    {"mct", build<MctScheduler>},
+    {"dmda", build<DmdaScheduler>},
+    {"dmdas", build<DmdasScheduler>},
+    {"min-min", build<BatchScheduler, BatchPolicy::MinMin>},
+    {"max-min", build<BatchScheduler, BatchPolicy::MaxMin>},
+    {"sufferage", build<BatchScheduler, BatchPolicy::Sufferage>},
+    {"heft", build<HeftScheduler>},
+    {"cpop", build<CpopScheduler>},
+    {"peft", build<PeftScheduler>},
+    {"work-stealing", build<WorkStealingScheduler>},
+    {"critical-path", build<CriticalPathScheduler>},
+    {"energy-energy", build<EnergyAwareScheduler, EnergyObjective::Energy>},
+    {"energy-edp", build<EnergyAwareScheduler, EnergyObjective::Edp>},
+    {"energy-performance",
+     build<EnergyAwareScheduler, EnergyObjective::Performance>},
+};
+
+}  // namespace
+
 std::vector<std::string> scheduler_names() {
-  return {"eager",     "random",        "round-robin",   "mct",
-          "dmda",      "dmdas",         "min-min",       "max-min",
-          "sufferage", "heft",          "cpop",          "peft",
-          "work-stealing",
-          "critical-path", "energy-energy", "energy-edp",
-          "energy-performance"};
+  std::vector<std::string> names;
+  for (const Entry& entry : kSchedulers) {
+    names.emplace_back(entry.name);
+  }
+  return names;
 }
 
 std::unique_ptr<core::Scheduler> make_scheduler(const std::string& name,
                                                 std::uint64_t seed) {
-  if (name == "eager") {
-    return std::make_unique<EagerScheduler>();
-  }
-  if (name == "random") {
-    return std::make_unique<RandomScheduler>(seed);
-  }
-  if (name == "round-robin") {
-    return std::make_unique<RoundRobinScheduler>();
-  }
-  if (name == "mct") {
-    return std::make_unique<MctScheduler>();
-  }
-  if (name == "dmda") {
-    return std::make_unique<DmdaScheduler>();
-  }
-  if (name == "dmdas") {
-    return std::make_unique<DmdasScheduler>();
-  }
-  if (name == "min-min") {
-    return std::make_unique<BatchScheduler>(BatchPolicy::MinMin);
-  }
-  if (name == "max-min") {
-    return std::make_unique<BatchScheduler>(BatchPolicy::MaxMin);
-  }
-  if (name == "sufferage") {
-    return std::make_unique<BatchScheduler>(BatchPolicy::Sufferage);
-  }
-  if (name == "heft") {
-    return std::make_unique<HeftScheduler>();
-  }
-  if (name == "cpop") {
-    return std::make_unique<CpopScheduler>();
-  }
-  if (name == "peft") {
-    return std::make_unique<PeftScheduler>();
-  }
-  if (name == "work-stealing") {
-    return std::make_unique<WorkStealingScheduler>();
-  }
-  if (name == "critical-path") {
-    return std::make_unique<CriticalPathScheduler>();
-  }
-  if (name == "energy-energy") {
-    return std::make_unique<EnergyAwareScheduler>(EnergyObjective::Energy);
-  }
-  if (name == "energy-edp") {
-    return std::make_unique<EnergyAwareScheduler>(EnergyObjective::Edp);
-  }
-  if (name == "energy-performance") {
-    return std::make_unique<EnergyAwareScheduler>(
-        EnergyObjective::Performance);
+  for (const Entry& entry : kSchedulers) {
+    if (name == entry.name) {
+      return entry.build(seed);
+    }
   }
   throw InvalidArgument("unknown scheduler '" + name + "'");
 }

@@ -11,9 +11,9 @@
 namespace hetflow::sched {
 
 /// Names accepted by make_scheduler, in canonical order:
-/// "eager", "random", "round-robin", "mct", "dmda", "min-min", "max-min",
-/// "sufferage", "heft", "work-stealing", "critical-path",
-/// "energy-energy", "energy-edp", "energy-performance".
+/// "eager", "random", "round-robin", "mct", "dmda", "dmdas", "min-min",
+/// "max-min", "sufferage", "heft", "cpop", "peft", "work-stealing",
+/// "critical-path", "energy-energy", "energy-edp", "energy-performance".
 std::vector<std::string> scheduler_names();
 
 /// Builds a scheduler by name; `seed` feeds randomized policies.

@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "obs/recorder.hpp"
+#include "sched/placement.hpp"
 #include "util/strings.hpp"
 
 namespace hetflow::sched {
@@ -18,18 +18,11 @@ void log_placement(core::SchedContext& ctx, const core::Task& task,
   if (recorder == nullptr) {
     return;
   }
-  obs::SchedDecision decision;
-  decision.task = task.id();
-  decision.task_name = task.name();
-  decision.time = ctx.now();
-  decision.scheduler = "work-stealing";
-  decision.candidates.push_back(
-      {device.id(), ctx.estimate_completion(task, device),
-       ctx.estimate_energy(task, device),
-       ctx.device_blacklisted(device)});
-  decision.winner = device.id();
-  decision.reason = std::move(reason);
-  recorder->add_decision(std::move(decision));
+  record_decision(*recorder, ctx, task, "work-stealing",
+                  {{device.id(), ctx.estimate_completion(task, device),
+                    ctx.estimate_energy(task, device),
+                    ctx.device_blacklisted(device)}},
+                  device.id(), std::move(reason));
 }
 
 }  // namespace

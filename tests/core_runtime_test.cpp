@@ -46,6 +46,31 @@ TEST(Runtime, UnrunnableCodeletRejectedAtSubmit) {
   EXPECT_THROW(rt.submit("t", gpu_only, 1e9, {}), util::InvalidArgument);
 }
 
+TEST(Runtime, WorkingSetLargerThanEveryDeviceMemoryRejectedAtSubmit) {
+  // 75 GiB of inputs: more than host DRAM (64 GiB) and the GPU's HBM
+  // (16 GiB), so no device can ever hold the task's working set.
+  constexpr std::uint64_t kGiB = 1024ull * 1024 * 1024;
+  const hw::Platform p = hw::make_workstation();
+  for (const std::string& name : sched::scheduler_names()) {
+    Runtime rt(p, sched::make_scheduler(name));
+    const data::DataId host = rt.register_data("host", 60 * kGiB, 0);
+    const data::DataId hbm = rt.register_data("hbm", 15 * kGiB, 1);
+    try {
+      rt.submit("huge", cpu_gpu_codelet(), 1e9,
+                {{host, data::AccessMode::Read},
+                 {hbm, data::AccessMode::Read}});
+      ADD_FAILURE() << name << ": submit accepted a task no device fits";
+    } catch (const util::InvalidArgument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("'huge'"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(75 * kGiB)), std::string::npos)
+          << what;
+    }
+    rt.wait_all();  // the rejected task left nothing behind
+    EXPECT_EQ(rt.task_count(), 0u) << name;
+  }
+}
+
 TEST(Runtime, UnregisteredDataRejected) {
   const hw::Platform p = hw::make_cpu_only(1);
   Runtime rt(p, std::make_unique<sched::EagerScheduler>());

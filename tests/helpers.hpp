@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,43 @@ inline core::CodeletPtr cpu_gpu_codelet(double cpu_eff = 0.5,
   return core::Codelet::make(
       "cpu-gpu", {{hw::DeviceType::Cpu, cpu_eff},
                   {hw::DeviceType::Gpu, gpu_eff}});
+}
+
+/// True when HETFLOW_REGEN_GOLDEN is set (and not "0"): golden suites
+/// then re-bless their references instead of comparing against them.
+inline bool regen_requested() {
+  const char* value = std::getenv("HETFLOW_REGEN_GOLDEN");
+  return value != nullptr && *value != '\0' && std::string(value) != "0";
+}
+
+inline std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    return {};
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Byte-exact comparison against the checked-in reference at `path`, or
+/// (in regen mode) re-blessing of the reference from the current output.
+inline void expect_golden_file(const std::string& path,
+                               const std::string& actual) {
+  if (regen_requested()) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    return;
+  }
+  const std::string expected = read_file(path);
+  ASSERT_FALSE(expected.empty())
+      << "missing golden file " << path
+      << " — run with HETFLOW_REGEN_GOLDEN=1 to create it";
+  EXPECT_EQ(actual, expected)
+      << path << " drifted from its golden reference; if the change is "
+         "intentional, regenerate with HETFLOW_REGEN_GOLDEN=1 and review "
+         "the diff";
 }
 
 /// Asserts that no two successful execution spans overlap on any device.
