@@ -21,17 +21,18 @@
 #      suite again under the sanitizers (including the serve smoke)
 #   8. rebuild with HETFLOW_SANITIZE=thread and run the parallel-sweep,
 #      retry/timeout, campaign-checkpoint, observability golden/
-#      determinism and cluster determinism/failure tests plus a --jobs 4
-#      hetflow_bench smoke sweep under TSan — proves the
-#      thread-confinement contract (docs/parallelism.md), not just
+#      determinism, JsonWriter and cluster determinism/failure tests
+#      plus a --jobs 4 hetflow_bench smoke sweep under TSan — proves
+#      the thread-confinement contract (docs/parallelism.md), not just
 #      asserts it
 #   9. checkpoint/resume smoke: a campaign killed after two rounds and
 #      resumed from its checkpoint must report the same result as the
 #      uninterrupted run (docs/fault_tolerance.md)
 #  10. coverage floors: rebuild with HETFLOW_COVERAGE=ON and require
-#      >= 90% line coverage on src/obs/ under the obs suites and >= 95%
-#      on src/sched/ under the scheduler suites (gcovr when installed,
-#      plain gcov otherwise)
+#      >= 90% line coverage on src/obs/ under the obs suites (the
+#      exporters' at-scale parse/dump fixed-point test included) and
+#      the JsonWriter suite, and >= 95% on src/sched/ under the
+#      scheduler suites (gcovr when installed, plain gcov otherwise)
 #  11. lint: clang-tidy over files changed vs the merge base (all
 #      first-party files when git history is unavailable); fails on any
 #      diagnostic. Without clang-tidy installed, tools/lint.sh falls back
@@ -133,9 +134,9 @@ cmake --build build-tsan -j "$jobs" \
       --target exec_pool_test exec_parallel_test core_failure_test \
                workflow_campaign_test obs_golden_test obs_determinism_test \
                cluster_determinism_test cluster_failure_test \
-               check_cluster_test hetflow_bench
+               check_cluster_test util_json_writer_test hetflow_bench
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-      -R 'exec_pool_test|exec_parallel_test|core_failure_test|workflow_campaign_test|obs_golden_test|obs_determinism_test|cluster_determinism_test|cluster_failure_test|check_cluster_test'
+      -R 'exec_pool_test|exec_parallel_test|core_failure_test|workflow_campaign_test|obs_golden_test|obs_determinism_test|cluster_determinism_test|cluster_failure_test|check_cluster_test|util_json_writer_test'
 build-tsan/tools/hetflow_bench \
     --workflows "montage:16;cholesky:6,512" --platforms hpc:4,2,0 \
     --scheds eager,dmda,heft --seeds 2 --noise 0.2 --jobs 4 \
@@ -162,7 +163,8 @@ echo "=== [10/12] line-coverage floors (src/obs, src/sched) ==="
 # The obs and sched layers are what the golden suites pin down;
 # unexecuted code there is unpinned code. Each floor counts only the
 # runs of its own test binaries (counters are reset in between):
-#   src/obs/   >= 90% under the obs + trace suites;
+#   src/obs/   >= 90% under the obs + trace suites and the JsonWriter
+#              suite the exporters stream through;
 #   src/sched/ >= 95% under the sched_* suites (schedule goldens
 #              included), cluster determinism and the cost-memo oracle.
 cmake -B build-cov -S . -DHETFLOW_COVERAGE=ON
@@ -204,7 +206,7 @@ coverage_floor() {
 
 coverage_floor hf_obs src/obs 90 \
     obs_metrics_test obs_golden_test obs_determinism_test obs_property_test \
-    trace_test
+    trace_test util_json_writer_test
 coverage_floor hf_sched src/sched 95 \
     sched_policies_test sched_heft_test sched_cpop_test sched_peft_test \
     sched_property_test sched_golden_test cluster_determinism_test \

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/json.hpp"
+#include "util/json_writer.hpp"
 #include "util/strings.hpp"
 
 namespace hetflow::check {
@@ -56,12 +57,12 @@ data::ReplicaState parse_state(char tag) {
 }
 
 template <typename T>
-util::Json number_array(const std::vector<T>& values) {
-  util::Json out = util::Json::array();
+void number_array(util::JsonWriter& out, const std::vector<T>& values) {
+  out.begin_array();
   for (const T& value : values) {
-    out.push_back(static_cast<double>(value));
+    out.number(static_cast<double>(value));
   }
-  return out;
+  out.end_array();
 }
 
 template <typename T>
@@ -77,67 +78,78 @@ std::vector<T> parse_number_array(const util::Json& json) {
 }  // namespace
 
 std::string to_audit_json(const AuditRecord& record) {
-  util::Json run = util::Json::object();
-  run["device_count"] = record.run.device_count;
-  run["node_count"] = record.run.node_count;
-  run["device_memory_node"] = number_array(record.run.device_memory_node);
-  run["handle_bytes"] = number_array(record.run.handle_bytes);
-  run["handle_home"] = number_array(record.run.handle_home);
+  // Keys in sorted order, as JsonWriter::key() requires.
+  util::JsonWriter out(2);
+  out.begin_object();
 
-  util::Json tasks = util::Json::array();
-  for (const TaskRecord& task : record.run.tasks) {
-    util::Json entry = util::Json::object();
-    entry["id"] = static_cast<std::int64_t>(task.id);
-    entry["name"] = task.name;
-    entry["device"] = static_cast<std::int64_t>(task.device);
-    entry["start"] = task.start;
-    entry["end"] = task.end;
-    entry["completed"] = task.completed;
-    util::Json accesses = util::Json::array();
-    for (const data::Access& access : task.accesses) {
-      util::Json one = util::Json::object();
-      one["data"] = static_cast<std::int64_t>(access.data);
-      one["mode"] = mode_tag(access.mode);
-      accesses.push_back(std::move(one));
-    }
-    entry["accesses"] = std::move(accesses);
-    entry["deps"] = number_array(task.dependencies);
-    tasks.push_back(std::move(entry));
-  }
-  run["tasks"] = std::move(tasks);
-
-  util::Json spans = util::Json::array();
-  for (const trace::Span& span : record.run.spans) {
-    util::Json entry = util::Json::object();
-    entry["task"] = static_cast<std::int64_t>(span.task_id);
-    entry["name"] = span.name;
-    entry["device"] = static_cast<std::int64_t>(span.device);
-    entry["start"] = span.start;
-    entry["end"] = span.end;
-    entry["kind"] = trace::to_string(span.kind);
-    spans.push_back(std::move(entry));
-  }
-  run["spans"] = std::move(spans);
-
-  util::Json directory = util::Json::object();
-  directory["node_count"] = record.directory.node_count;
-  directory["handle_bytes"] = number_array(record.directory.handle_bytes);
-  directory["capacity_bytes"] = number_array(record.directory.capacity_bytes);
-  directory["claimed_resident_bytes"] =
-      number_array(record.directory.claimed_resident_bytes);
+  const DirectoryRecord& directory = record.directory;
+  out.key("directory").begin_object();
+  out.key("capacity_bytes");
+  number_array(out, directory.capacity_bytes);
+  out.key("claimed_resident_bytes");
+  number_array(out, directory.claimed_resident_bytes);
+  out.key("handle_bytes");
+  number_array(out, directory.handle_bytes);
+  out.key("node_count").number(static_cast<double>(directory.node_count));
   std::string states;
-  states.reserve(record.directory.states.size());
-  for (data::ReplicaState state : record.directory.states) {
+  states.reserve(directory.states.size());
+  for (data::ReplicaState state : directory.states) {
     states.push_back(state_tag(state));
   }
-  directory["states"] = std::move(states);
+  out.key("states").string(states);
+  out.end_object();
 
-  util::Json doc = util::Json::object();
-  doc["format"] = "hetflow-audit";
-  doc["version"] = 1;
-  doc["run"] = std::move(run);
-  doc["directory"] = std::move(directory);
-  return doc.dump_pretty();
+  out.key("format").string("hetflow-audit");
+
+  const RunRecord& run = record.run;
+  out.key("run").begin_object();
+  out.key("device_count").number(static_cast<double>(run.device_count));
+  out.key("device_memory_node");
+  number_array(out, run.device_memory_node);
+  out.key("handle_bytes");
+  number_array(out, run.handle_bytes);
+  out.key("handle_home");
+  number_array(out, run.handle_home);
+  out.key("node_count").number(static_cast<double>(run.node_count));
+  out.key("spans").begin_array();
+  for (const trace::Span& span : run.spans) {
+    out.begin_object();
+    out.key("device").number(static_cast<double>(span.device));
+    out.key("end").number(span.end);
+    out.key("kind").string(trace::to_string(span.kind));
+    out.key("name").string(span.name);
+    out.key("start").number(span.start);
+    out.key("task").number(static_cast<double>(span.task_id));
+    out.end_object();
+  }
+  out.end_array();
+  out.key("tasks").begin_array();
+  for (const TaskRecord& task : run.tasks) {
+    out.begin_object();
+    out.key("accesses").begin_array();
+    for (const data::Access& access : task.accesses) {
+      out.begin_object();
+      out.key("data").number(static_cast<double>(access.data));
+      out.key("mode").string(mode_tag(access.mode));
+      out.end_object();
+    }
+    out.end_array();
+    out.key("completed").boolean(task.completed);
+    out.key("deps");
+    number_array(out, task.dependencies);
+    out.key("device").number(static_cast<double>(task.device));
+    out.key("end").number(task.end);
+    out.key("id").number(static_cast<double>(task.id));
+    out.key("name").string(task.name);
+    out.key("start").number(task.start);
+    out.end_object();
+  }
+  out.end_array();
+  out.end_object();
+
+  out.key("version").number(1);
+  out.end_object();
+  return out.take();
 }
 
 AuditRecord parse_audit_json(const std::string& text) {

@@ -3,22 +3,24 @@
 #include <map>
 #include <unordered_map>
 
-#include "util/json.hpp"
+#include "util/json_writer.hpp"
 
 namespace hetflow::obs {
 
 namespace {
 
-util::Json thread_name_meta(std::int64_t tid, const std::string& name) {
-  util::Json meta = util::Json::object();
-  meta["ph"] = "M";
-  meta["name"] = "thread_name";
-  meta["pid"] = 1;
-  meta["tid"] = tid;
-  util::Json args = util::Json::object();
-  args["name"] = name;
-  meta["args"] = std::move(args);
-  return meta;
+// Every event object below writes its keys in sorted order, as
+// JsonWriter::key() requires.
+
+void thread_name_meta(util::JsonWriter& out, std::int64_t tid,
+                      std::string_view name) {
+  out.begin_object();
+  out.key("args").begin_object().key("name").string(name).end_object();
+  out.key("name").string("thread_name");
+  out.key("ph").string("M");
+  out.key("pid").number(1);
+  out.key("tid").number(static_cast<double>(tid));
+  out.end_object();
 }
 
 }  // namespace
@@ -26,22 +28,23 @@ util::Json thread_name_meta(std::int64_t tid, const std::string& name) {
 std::string chrome_trace_json(const trace::Tracer& tracer,
                               const hw::Platform& platform,
                               const Recorder* recorder) {
-  util::Json events = util::Json::array();
+  util::JsonWriter out(0);
+  out.begin_object();
+  out.key("displayTimeUnit").string("ms");
+  out.key("traceEvents").begin_array();
 
   // Process + device metadata rows.
-  {
-    util::Json meta = util::Json::object();
-    meta["ph"] = "M";
-    meta["name"] = "process_name";
-    meta["pid"] = 1;
-    util::Json args = util::Json::object();
-    args["name"] = "hetflow: " + platform.name();
-    meta["args"] = std::move(args);
-    events.push_back(std::move(meta));
-  }
+  std::string process_name = "hetflow: ";
+  process_name += platform.name();
+  out.begin_object();
+  out.key("args").begin_object().key("name").string(process_name).end_object();
+  out.key("name").string("process_name");
+  out.key("ph").string("M");
+  out.key("pid").number(1);
+  out.end_object();
   for (const hw::Device& device : platform.devices()) {
-    events.push_back(thread_name_meta(
-        static_cast<std::int64_t>(device.id()), device.name()));
+    thread_name_meta(out, static_cast<std::int64_t>(device.id()),
+                     device.name());
   }
   // Transfer-track metadata, only for node pairs that moved data, in
   // (src, dst) order regardless of event order.
@@ -57,19 +60,20 @@ std::string chrome_trace_json(const trace::Tracer& tracer,
       if (event.src < 0 || event.dst < 0) {
         continue;
       }
-      const std::int64_t tid = kTransferTidBase + event.src * nodes +
-                               event.dst;
-      transfer_tracks.emplace(
-          tid,
-          "xfer " +
-              platform.memory_node(static_cast<hw::MemoryNodeId>(event.src))
-                  .name() +
-              " -> " +
-              platform.memory_node(static_cast<hw::MemoryNodeId>(event.dst))
-                  .name());
+      const auto [it, inserted] = transfer_tracks.try_emplace(
+          kTransferTidBase + event.src * nodes + event.dst);
+      if (inserted) {
+        std::string& name = it->second;
+        name = "xfer ";
+        name += platform.memory_node(static_cast<hw::MemoryNodeId>(event.src))
+                    .name();
+        name += " -> ";
+        name += platform.memory_node(static_cast<hw::MemoryNodeId>(event.dst))
+                    .name();
+      }
     }
     for (const auto& [tid, name] : transfer_tracks) {
-      events.push_back(thread_name_meta(tid, name));
+      thread_name_meta(out, tid, name);
     }
   }
 
@@ -81,103 +85,100 @@ std::string chrome_trace_json(const trace::Tracer& tracer,
         first_exec.count(span.task_id) == 0) {
       first_exec.emplace(span.task_id, &span);
     }
-    util::Json event = util::Json::object();
-    event["ph"] = "X";
-    event["name"] = span.name;
-    event["pid"] = 1;
-    event["tid"] = static_cast<std::int64_t>(span.device);
-    event["ts"] = span.start * 1e6;  // microseconds
-    event["dur"] = span.duration() * 1e6;
-    util::Json args = util::Json::object();
-    args["task"] = static_cast<std::int64_t>(span.task_id);
-    args["kind"] = trace::to_string(span.kind);
-    event["args"] = std::move(args);
-    events.push_back(std::move(event));
+    out.begin_object();
+    out.key("args").begin_object();
+    out.key("kind").string(trace::to_string(span.kind));
+    out.key("task").number(static_cast<double>(span.task_id));
+    out.end_object();
+    out.key("dur").number(span.duration() * 1e6);  // microseconds
+    out.key("name").string(span.name);
+    out.key("ph").string("X");
+    out.key("pid").number(1);
+    out.key("tid").number(static_cast<double>(span.device));
+    out.key("ts").number(span.start * 1e6);
+    out.end_object();
   }
 
-  // Structured runtime events, in record order.
+  // Structured runtime events, in record order. Transfers are spans on
+  // their (src, dst) track; everything else is a thread-scoped instant.
   if (recorder != nullptr) {
     for (const Event& ev : recorder->events()) {
-      util::Json event = util::Json::object();
-      event["name"] = to_string(ev.kind);
-      event["pid"] = 1;
-      event["ts"] = ev.time * 1e6;
-      util::Json args = util::Json::object();
-      if (ev.task != kNoTask) {
-        args["task"] = ev.task;
+      const bool transfer = ev.kind == EventKind::Transfer;
+      const bool on_transfer_track =
+          transfer || ev.kind == EventKind::Prefetch;
+      const bool attempt =
+          ev.kind == EventKind::Retry || ev.kind == EventKind::Timeout;
+      std::int64_t tid = ev.device >= 0 ? ev.device : 0;
+      if (on_transfer_track) {
+        tid = kTransferTidBase + ev.src * nodes + ev.dst;
+      } else if (attempt) {
+        tid = ev.device;
+      }
+      out.begin_object();
+      out.key("args").begin_object();
+      if (attempt) {
+        out.key("attempt").number(static_cast<double>(ev.aux));
+      }
+      if (on_transfer_track) {
+        out.key("bytes").number(static_cast<double>(ev.bytes));
       }
       if (!ev.name.empty()) {
-        args["detail"] = ev.name;
+        out.key("detail").string(ev.name);
       }
-      switch (ev.kind) {
-        case EventKind::Transfer: {
-          event["ph"] = "X";
-          event["tid"] = kTransferTidBase + ev.src * nodes + ev.dst;
-          event["dur"] = ev.duration * 1e6;
-          args["bytes"] = ev.bytes;
-          args["src"] = ev.src;
-          args["dst"] = ev.dst;
-          break;
-        }
-        case EventKind::Prefetch: {
-          event["ph"] = "i";
-          event["s"] = "t";
-          event["tid"] = kTransferTidBase + ev.src * nodes + ev.dst;
-          args["bytes"] = ev.bytes;
-          break;
-        }
-        case EventKind::Retry:
-        case EventKind::Timeout:
-          event["ph"] = "i";
-          event["s"] = "t";
-          event["tid"] = ev.device;
-          args["attempt"] = ev.aux;
-          break;
-        case EventKind::Blacklist:
-        case EventKind::Probation:
-        case EventKind::Abandon:
-        case EventKind::Decision:
-          event["ph"] = "i";
-          event["s"] = "t";
-          event["tid"] = ev.device >= 0 ? ev.device : 0;
-          break;
+      if (transfer) {
+        out.key("dst").number(static_cast<double>(ev.dst));
+        out.key("src").number(static_cast<double>(ev.src));
       }
-      event["args"] = std::move(args);
-      events.push_back(std::move(event));
+      if (ev.task != kNoTask) {
+        out.key("task").number(static_cast<double>(ev.task));
+      }
+      out.end_object();
+      if (transfer) {
+        out.key("dur").number(ev.duration * 1e6);
+      }
+      out.key("name").string(to_string(ev.kind));
+      out.key("ph").string(transfer ? "X" : "i");
+      out.key("pid").number(1);
+      if (!transfer) {
+        out.key("s").string("t");
+      }
+      out.key("tid").number(static_cast<double>(tid));
+      out.key("ts").number(ev.time * 1e6);
+      out.end_object();
 
       // Decision -> execution flow arrow, when the task eventually ran.
-      if (ev.kind == EventKind::Decision) {
-        const auto it = first_exec.find(ev.task);
-        if (it == first_exec.end()) {
-          continue;
-        }
-        util::Json flow_start = util::Json::object();
-        flow_start["ph"] = "s";
-        flow_start["cat"] = "sched";
-        flow_start["name"] = "decision";
-        flow_start["id"] = ev.task;
-        flow_start["pid"] = 1;
-        flow_start["tid"] = ev.device >= 0 ? ev.device : 0;
-        flow_start["ts"] = ev.time * 1e6;
-        events.push_back(std::move(flow_start));
-        util::Json flow_end = util::Json::object();
-        flow_end["ph"] = "f";
-        flow_end["bp"] = "e";
-        flow_end["cat"] = "sched";
-        flow_end["name"] = "decision";
-        flow_end["id"] = ev.task;
-        flow_end["pid"] = 1;
-        flow_end["tid"] = static_cast<std::int64_t>(it->second->device);
-        flow_end["ts"] = it->second->start * 1e6;
-        events.push_back(std::move(flow_end));
+      if (ev.kind != EventKind::Decision) {
+        continue;
       }
+      const auto it = first_exec.find(ev.task);
+      if (it == first_exec.end()) {
+        continue;
+      }
+      out.begin_object();
+      out.key("cat").string("sched");
+      out.key("id").number(static_cast<double>(ev.task));
+      out.key("name").string("decision");
+      out.key("ph").string("s");
+      out.key("pid").number(1);
+      out.key("tid").number(static_cast<double>(tid));
+      out.key("ts").number(ev.time * 1e6);
+      out.end_object();
+      out.begin_object();
+      out.key("bp").string("e");
+      out.key("cat").string("sched");
+      out.key("id").number(static_cast<double>(ev.task));
+      out.key("name").string("decision");
+      out.key("ph").string("f");
+      out.key("pid").number(1);
+      out.key("tid").number(static_cast<double>(it->second->device));
+      out.key("ts").number(it->second->start * 1e6);
+      out.end_object();
     }
   }
 
-  util::Json doc = util::Json::object();
-  doc["traceEvents"] = std::move(events);
-  doc["displayTimeUnit"] = "ms";
-  return doc.dump();
+  out.end_array();
+  out.end_object();
+  return out.take();
 }
 
 }  // namespace hetflow::obs

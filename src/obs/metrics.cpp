@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 #include "util/strings.hpp"
 
 namespace hetflow::obs {
@@ -116,41 +118,42 @@ double MetricsRegistry::counter_value(const std::string& name,
   return it->second.counter.value();
 }
 
-util::Json MetricsRegistry::to_json() const {
-  util::Json metrics = util::Json::array();
-  for (const auto& [k, e] : entries_) {
-    util::Json m = util::Json::object();
-    m["name"] = e.name;
-    util::Json labels = util::Json::object();
-    for (const auto& [lk, lv] : e.labels) {
-      labels[lk] = lv;
-    }
-    m["labels"] = std::move(labels);
-    m["kind"] = to_string(e.kind);
-    switch (e.kind) {
-      case MetricKind::Counter:
-        m["value"] = e.counter.value();
-        break;
-      case MetricKind::Gauge:
-        m["value"] = e.gauge.value();
-        break;
-      case MetricKind::TimeWeighted:
-        m["value"] = e.tw.last();
-        m["min"] = e.tw.min();
-        m["max"] = e.tw.max();
-        m["mean"] = e.tw.mean();
-        m["updates"] = e.tw.updates();
-        break;
-    }
-    metrics.push_back(std::move(m));
-  }
-  util::Json doc = util::Json::object();
-  doc["metrics"] = std::move(metrics);
-  return doc;
-}
-
 std::string MetricsRegistry::to_json_string() const {
-  return to_json().dump_pretty() + "\n";
+  // Keys in sorted order, as JsonWriter::key() requires. Labels are
+  // sorted by name; a repeated label name keeps its last value.
+  util::JsonWriter out(2);
+  std::map<std::string_view, std::string_view> labels;
+  out.begin_object().key("metrics").begin_array();
+  for (const auto& [k, e] : entries_) {
+    out.begin_object();
+    out.key("kind").string(to_string(e.kind));
+    labels.clear();
+    for (const auto& [name, value] : e.labels) {
+      labels[name] = value;
+    }
+    out.key("labels").begin_object();
+    for (const auto& [name, value] : labels) {
+      out.key(name).string(value);
+    }
+    out.end_object();
+    double value = e.counter.value();
+    if (e.kind == MetricKind::Gauge) {
+      value = e.gauge.value();
+    } else if (e.kind == MetricKind::TimeWeighted) {
+      value = e.tw.last();
+      out.key("max").number(e.tw.max());
+      out.key("mean").number(e.tw.mean());
+      out.key("min").number(e.tw.min());
+    }
+    out.key("name").string(e.name);
+    if (e.kind == MetricKind::TimeWeighted) {
+      out.key("updates").number(static_cast<double>(e.tw.updates()));
+    }
+    out.key("value").number(value);
+    out.end_object();
+  }
+  out.end_array().end_object().newline();
+  return out.take();
 }
 
 std::string MetricsRegistry::to_csv() const {

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "util/json.hpp"
 
 namespace hetflow::obs {
 
@@ -103,9 +102,9 @@ class MetricsRegistry {
   /// Value of one specific counter (0 when absent).
   double counter_value(const std::string& name, const Labels& labels) const;
 
-  /// Deterministic snapshots: entries in lexicographic key order.
-  util::Json to_json() const;
-  std::string to_json_string() const;  ///< pretty-printed, trailing newline
+  /// Deterministic snapshots: entries in lexicographic key order. The
+  /// JSON one is Json::dump_pretty()'s layout plus a trailing newline.
+  std::string to_json_string() const;
   std::string to_csv() const;
 
   /// "name{k=v,k2=v2}" (just "name" for label-free metrics).

@@ -1,9 +1,13 @@
 #include "util/json.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
+#include <cstdlib>
 
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 
 namespace hetflow::util {
 
@@ -101,9 +105,41 @@ std::size_t Json::size() const {
   kind_error("container");
 }
 
-void Json::write_string(std::string& out, const std::string& s) {
+void append_json_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    // JSON has no Inf/NaN; serialize as null (standard-compatible).
+    out += "null";
+    return;
+  }
+  char buf[32];
+  std::to_chars_result result{};
+  if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    if (value == 0.0 && std::signbit(value)) {
+      out += "-0";  // %.0f keeps the sign of negative zero
+      return;
+    }
+    result = std::to_chars(buf, buf + sizeof buf,
+                           static_cast<std::int64_t>(value));
+  } else {
+    // The standard defines general + precision as printf's %.17g.
+    result = std::to_chars(buf, buf + sizeof buf, value,
+                           std::chars_format::general, 17);
+  }
+  out.append(buf, result.ptr);
+}
+
+void append_json_string(std::string& out, std::string_view value) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (unsigned char c : s) {
+  // Copy runs of plain bytes in one append; escape the rest one by one.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    const auto c = static_cast<unsigned char>(value[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(value.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -127,99 +163,50 @@ void Json::write_string(std::string& out, const std::string& s) {
         out += "\\f";
         break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
     }
   }
+  out.append(value.data() + run, value.size() - run);
   out += '"';
 }
 
-void Json::write(std::string& out, int indent, int depth) const {
-  const auto newline = [&] {
-    if (indent > 0) {
-      out += '\n';
-      out.append(static_cast<std::size_t>(indent * depth), ' ');
-    }
-  };
+void Json::write(JsonWriter& out) const {
   if (is_null()) {
-    out += "null";
+    out.null();
   } else if (is_bool()) {
-    out += as_bool() ? "true" : "false";
+    out.boolean(as_bool());
   } else if (is_number()) {
-    const double d = as_number();
-    if (!std::isfinite(d)) {
-      // JSON has no Inf/NaN; serialize as null (standard-compatible).
-      out += "null";
-      return;
-    }
-    if (d == std::floor(d) && std::fabs(d) < 1e15) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.0f", d);
-      out += buf;
-    } else {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.17g", d);
-      out += buf;
-    }
+    out.number(as_number());
   } else if (is_string()) {
-    write_string(out, as_string());
+    out.string(as_string());
   } else if (is_array()) {
-    const JsonArray& arr = as_array();
-    out += '[';
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      ++depth;
-      newline();
-      --depth;
-      arr[i].write(out, indent, depth + 1);
+    out.begin_array();
+    for (const Json& element : as_array()) {
+      element.write(out);
     }
-    if (!arr.empty()) {
-      newline();
-    }
-    out += ']';
+    out.end_array();
   } else {
-    const JsonObject& obj = as_object();
-    out += '{';
-    bool first = true;
-    for (const auto& [key, value] : obj) {
-      if (!first) {
-        out += ',';
-      }
-      first = false;
-      ++depth;
-      newline();
-      --depth;
-      write_string(out, key);
-      out += ':';
-      if (indent > 0) {
-        out += ' ';
-      }
-      value.write(out, indent, depth + 1);
+    out.begin_object();
+    for (const auto& [key, value] : as_object()) {
+      out.key(key);
+      value.write(out);
     }
-    if (!obj.empty()) {
-      newline();
-    }
-    out += '}';
+    out.end_object();
   }
 }
 
 std::string Json::dump() const {
-  std::string out;
-  write(out, 0, 0);
-  return out;
+  JsonWriter out(0);
+  write(out);
+  return out.take();
 }
 
 std::string Json::dump_pretty() const {
-  std::string out;
-  write(out, 2, 0);
-  return out;
+  JsonWriter out(2);
+  write(out);
+  return out.take();
 }
 
 namespace {

@@ -1,8 +1,13 @@
 // Minimal JSON document model, serializer and recursive-descent parser.
 //
-// Used for Chrome-trace export and for structured experiment manifests.
-// Supports the full JSON grammar except \u surrogate pairs beyond the BMP
-// (escapes are decoded to UTF-8).
+// Used to read artifacts back (audit snapshots, platform and campaign
+// files, traces under test) and to build small documents such as
+// manifests and checkpoints. Large exports (Chrome trace, decision log,
+// metrics snapshot, audit file) stream through util::JsonWriter
+// instead; Json serializes through that same writer, so both produce
+// the same bytes for the same value. Supports the full JSON grammar
+// except \u surrogate pairs beyond the BMP (escapes are decoded to
+// UTF-8).
 #pragma once
 
 #include <cstdint>
@@ -16,6 +21,19 @@
 namespace hetflow::util {
 
 class Json;
+class JsonWriter;
+
+/// The one JSON number formatter (Json and JsonWriter both call it).
+/// Non-finite values print as null; an integral |value| < 1e15 prints as
+/// its integer digits ("-0" for -0.0, like printf's %.0f); anything else
+/// prints as printf's %.17g, via std::to_chars.
+void append_json_number(std::string& out, double value);
+
+/// The one JSON string escaper: the quoted value with '"' and '\\'
+/// backslash-escaped, \b \f \n \r \t for those control bytes and \u00xx
+/// for the other bytes below 0x20; every other byte (0x7f, UTF-8) is
+/// copied verbatim.
+void append_json_string(std::string& out, std::string_view value);
 
 using JsonArray = std::vector<Json>;
 /// std::map keeps key order deterministic for golden-output tests.
@@ -86,8 +104,7 @@ class Json {
                JsonObject>
       value_;
 
-  void write(std::string& out, int indent, int depth) const;
-  static void write_string(std::string& out, const std::string& s);
+  void write(JsonWriter& out) const;
 };
 
 }  // namespace hetflow::util

@@ -52,7 +52,7 @@ TEST(Metrics, GaugeKeepsLastValue) {
   MetricsRegistry registry;
   registry.gauge("makespan_s").set(1.0);
   registry.gauge("makespan_s").set(2.5);
-  const util::Json doc = registry.to_json();
+  const util::Json doc = util::Json::parse(registry.to_json_string());
   const auto& entries = doc.at("metrics").as_array();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_DOUBLE_EQ(entries[0].at("value").as_number(), 2.5);
@@ -101,7 +101,7 @@ TEST(Metrics, JsonSnapshotShape) {
   MetricsRegistry registry;
   registry.counter("tasks", {{"device", "cpu0"}}).inc(2.0);
   registry.time_weighted("depth").update(0.0, 1.0);
-  const util::Json doc = registry.to_json();
+  const util::Json doc = util::Json::parse(registry.to_json_string());
   const auto& entries = doc.at("metrics").as_array();
   ASSERT_EQ(entries.size(), 2u);
   // "depth" < "tasks{...}" lexicographically.

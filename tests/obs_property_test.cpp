@@ -9,20 +9,31 @@
 //   3. The decision log tells the truth: the LAST logged decision for
 //      each task names the device the task actually ran on, as recorded
 //      by the hetflow-verify audit snapshot.
+//   4. Every export is a fixed point of Json::parse + dump: the streamed
+//      Chrome trace, decision log, metrics snapshot and audit file come
+//      out exactly as the Json DOM would write them, checked at the
+//      scale the benchmark exports (a 16-node cluster run that emits
+//      every EventKind).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/audit.hpp"
+#include "check/audit_file.hpp"
 #include "core/runtime.hpp"
 #include "helpers.hpp"
+#include "hw/cluster.hpp"
 #include "hw/presets.hpp"
 #include "obs/chrome_trace.hpp"
+#include "sched/cluster.hpp"
 #include "sched/registry.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -275,6 +286,101 @@ TEST(ObsProperty, EveryDecisionRecordsFiniteCandidatePredictions) {
           << ")";
     }
   }
+}
+
+/// `text` must come back byte for byte from `reparsed`; on a mismatch,
+/// report the first differing offset with some context instead of two
+/// multi-megabyte strings.
+void expect_same_bytes(std::string_view text, std::string_view reparsed,
+                       const std::string& what) {
+  if (text == reparsed) {
+    return;
+  }
+  const auto diff = static_cast<std::size_t>(
+      std::mismatch(text.begin(), text.end(), reparsed.begin(),
+                    reparsed.end())
+          .first -
+      text.begin());
+  const std::size_t from = diff < 60 ? 0 : diff - 60;
+  ADD_FAILURE() << what << " is not a fixed point of Json::parse + dump: "
+                << "first difference at byte " << diff << " of "
+                << text.size() << "\n  export:  ..."
+                << text.substr(from, 120) << "\n  re-dump: ..."
+                << reparsed.substr(from, 120);
+}
+
+TEST(ObsProperty, ExportsAreFixedPointsOfJsonParseAndDumpAtScale) {
+  // 16 nodes, cluster:dmda with prefetch, transient fail-stop and
+  // fail-silent failures caught by a watchdog, one flaky GPU that is
+  // blacklisted and put on probation, and a three-attempt Drop budget.
+  const hw::Cluster cluster = hw::make_hpc_cluster(16, 4, 1);
+  const hw::Platform& p = cluster.platform();
+  core::RuntimeOptions options;
+  options.metrics = true;
+  options.seed = 5;
+  options.enable_prefetch = true;
+  options.failure_model = hw::FailureModel::uniform(0.01);
+  options.failure_model.set_device_rate(cluster.devices_on(3).back(), 20.0);
+  options.failure_model.set_hang_fraction(0.3);
+  options.failure_policy = core::FailurePolicy::Reschedule;
+  options.retry.timeout_s = 60.0;
+  options.retry.max_attempts = 3;
+  options.retry.on_exhausted = core::ExhaustionPolicy::Drop;
+  options.retry.blacklist_after = 2;
+  options.retry.probation_s = 0.5;
+  core::Runtime rt(p,
+                   sched::make_cluster_scheduler(cluster, "dmda", "locality",
+                                                 options.seed),
+                   options);
+  std::vector<hw::MemoryNodeId> homes;
+  for (const hw::ClusterNode& node : cluster.nodes()) {
+    homes.push_back(node.gateway);
+  }
+  workflow::submit_workflow_scattered(rt, workflow::make_montage(5000),
+                                      workflow::CodeletLibrary::standard(),
+                                      homes);
+  rt.wait_all();
+  ASSERT_GE(rt.task_count(), 20000u);
+
+  const obs::Recorder& recorder = *rt.recorder();
+  std::set<obs::EventKind> kinds;
+  for (const obs::Event& event : recorder.events()) {
+    kinds.insert(event.kind);
+  }
+  for (obs::EventKind kind :
+       {obs::EventKind::Transfer, obs::EventKind::Prefetch,
+        obs::EventKind::Retry, obs::EventKind::Timeout,
+        obs::EventKind::Blacklist, obs::EventKind::Probation,
+        obs::EventKind::Decision, obs::EventKind::Abandon}) {
+    EXPECT_EQ(kinds.count(kind), 1u)
+        << "the run emitted no " << obs::to_string(kind) << " event";
+  }
+
+  const std::string chrome = obs::chrome_trace_json(rt.tracer(), p, &recorder);
+  expect_same_bytes(chrome, util::Json::parse(chrome).dump(), "Chrome trace");
+
+  const std::string decisions = recorder.decisions_jsonl(p);
+  ASSERT_FALSE(decisions.empty());
+  ASSERT_EQ(decisions.back(), '\n');
+  std::size_t lines = 0;
+  for (std::size_t begin = 0; begin < decisions.size(); ++lines) {
+    const std::size_t end = decisions.find('\n', begin);
+    const std::string_view line(decisions.data() + begin, end - begin);
+    expect_same_bytes(line, util::Json::parse(line).dump(),
+                      "decision-log line " + std::to_string(lines + 1));
+    begin = end + 1;
+  }
+  EXPECT_EQ(lines, recorder.decisions().size());
+
+  const std::string metrics = recorder.metrics().to_json_string();
+  ASSERT_EQ(metrics.back(), '\n');
+  const std::string_view metrics_doc(metrics.data(), metrics.size() - 1);
+  expect_same_bytes(metrics_doc, util::Json::parse(metrics_doc).dump_pretty(),
+                    "metrics snapshot");
+
+  const std::string audit = check::to_audit_json(check::snapshot_audit(rt));
+  expect_same_bytes(audit, util::Json::parse(audit).dump_pretty(),
+                    "audit file");
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "trace/report.hpp"
 #include "trace/svg.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workflow/campaign.hpp"
 #include "workflow/dagfile.hpp"
@@ -29,6 +30,23 @@
 #include "workflow/workflow.hpp"
 
 namespace {
+
+/// Writes `content` to `path` and reports it; throws Error when the file
+/// cannot be opened or the write does not reach it (a full disk must not
+/// print "written to" and exit 0).
+void write_file(const std::string& path, const std::string& content,
+                const char* what) {
+  std::ofstream out(path);
+  if (!out) {
+    throw hetflow::Error("cannot open '" + path + "' for writing");
+  }
+  out << content;
+  out.flush();
+  if (!out) {
+    throw hetflow::Error("failed writing '" + path + "'");
+  }
+  std::cout << what << " written to " << path << '\n';
+}
 
 void print_campaign_result(const hetflow::workflow::CampaignResult& result,
                            const char* strategy, bool csv) {
@@ -175,23 +193,13 @@ int main(int argc, char** argv) {
       // exports remain single-run outputs.
       const auto write_campaign_obs =
           [&cli](const workflow::CampaignResult& result) {
-            const auto write = [](const std::string& path,
-                                  const std::string& content,
-                                  const char* what) {
-              std::ofstream out(path);
-              if (!out) {
-                throw Error("cannot open '" + path + "'");
-              }
-              out << content;
-              std::cout << what << " written to " << path << '\n';
-            };
             if (!cli.value("metrics-out").empty()) {
-              write(cli.value("metrics-out"), result.metrics_json,
-                    "metrics snapshot");
+              write_file(cli.value("metrics-out"), result.metrics_json,
+                         "metrics snapshot");
             }
             if (!cli.value("decision-log").empty()) {
-              write(cli.value("decision-log"), result.decision_log,
-                    "decision log");
+              write_file(cli.value("decision-log"), result.decision_log,
+                         "decision log");
             }
           };
       if (!cli.value("resume").empty()) {
@@ -387,16 +395,6 @@ int main(int argc, char** argv) {
       std::cout << "audit snapshot written to " << cli.value("audit-out")
                 << '\n';
     }
-    const auto write_file = [](const std::string& path,
-                               const std::string& content,
-                               const char* what) {
-      std::ofstream out(path);
-      if (!out) {
-        throw Error("cannot open '" + path + "'");
-      }
-      out << content;
-      std::cout << what << " written to " << path << '\n';
-    };
     if (!cli.value("trace-json").empty()) {
       write_file(cli.value("trace-json"),
                  obs::chrome_trace_json(runtime.tracer(), platform, nullptr),
