@@ -165,8 +165,9 @@ echo "=== [10/12] line-coverage floors (src/obs, src/sched) ==="
 # runs of its own test binaries (counters are reset in between):
 #   src/obs/   >= 90% under the obs + trace suites and the JsonWriter
 #              suite the exporters stream through;
-#   src/sched/ >= 95% under the sched_* suites (schedule goldens
-#              included), cluster determinism and the cost-memo oracle.
+#   src/sched/ >= 95% under the sched_* suites (schedule goldens and
+#              the class-walk differential included), cluster
+#              determinism and the cost-memo oracle.
 cmake -B build-cov -S . -DHETFLOW_COVERAGE=ON
 
 # coverage_floor <library target> <source dir> <floor %> <test>...
@@ -209,8 +210,8 @@ coverage_floor hf_obs src/obs 90 \
     trace_test util_json_writer_test
 coverage_floor hf_sched src/sched 95 \
     sched_policies_test sched_heft_test sched_cpop_test sched_peft_test \
-    sched_property_test sched_golden_test cluster_determinism_test \
-    core_memo_test
+    sched_property_test sched_golden_test sched_placement_test \
+    cluster_determinism_test core_memo_test
 
 echo "=== [11/12] lint (changed files) ==="
 changed=()

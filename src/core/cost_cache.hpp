@@ -8,8 +8,8 @@
 // launch overhead, and — when the history model is on — a hash lookup of
 // the calibrated seconds-per-flop keyed (codelet, device *type*), the
 // Reshi/Tarema-style keying that makes the model memoizable at all. At
-// 10^6 tasks × ~8 device candidates that is millions of redundant
-// recomputations.
+// 10^6 tasks × one to a few estimates per device class (five classes on
+// the 20-device HPC node) that is millions of redundant recomputations.
 //
 // The cache stores one Entry per (codelet id, device id) in a flat arena
 // indexed through a tiny open-addressing table keyed by codelet id (one

@@ -38,8 +38,8 @@ class SchedContext {
   /// Cost: the per-(codelet, device) model terms behind this call (and
   /// estimate_completion / estimate_energy, which derive from it) are
   /// memoized in the runtime's CostModelCache (core/cost_cache.hpp) —
-  /// bitwise-identical to a direct recompute, so every candidate loop in
-  /// src/sched/ may call these freely per (task, device) pair. History
+  /// bitwise-identical to a direct recompute, so candidate loops in
+  /// src/sched/ may call these as often as they need. History
   /// recalibration invalidates automatically; platform mutations require
   /// Runtime::invalidate_cost_cache().
   virtual double estimate_exec_seconds(
@@ -64,6 +64,16 @@ class SchedContext {
 
   /// Estimated earliest completion time: max(device availability, data
   /// ready) + execution estimate. The building block of list schedulers.
+  ///
+  /// Invariant: within one hw::Platform::device_classes() class the
+  /// execution estimate is a single value and the data-ready time is a
+  /// function of the memory node and `earliest` alone, built from max and
+  /// + (TransferEngine::walk_route). So within a class completion depends
+  /// only on availability and never decreases as availability grows;
+  /// sched::assign_min_completion scores one member per class on that
+  /// basis. A change that makes any estimate depend on the device id, or
+  /// on a device field outside the class key, must extend the class key
+  /// (same_class in hw/platform.cpp).
   virtual sim::SimTime estimate_completion(
       const Task& task, const hw::Device& device,
       std::optional<std::size_t> dvfs = std::nullopt) const = 0;

@@ -157,6 +157,42 @@ void Platform::compute_routes() {
   }
 }
 
+namespace {
+
+bool same_dvfs_state(const DvfsState& a, const DvfsState& b) {
+  return a.frequency_ghz == b.frequency_ghz && a.busy_watts == b.busy_watts &&
+         a.idle_watts == b.idle_watts;
+}
+
+/// True when `a` and `b` share the DeviceClass key.
+bool same_class(const Device& a, const Device& b) {
+  return a.type() == b.type() && a.peak_gflops() == b.peak_gflops() &&
+         a.launch_overhead_s() == b.launch_overhead_s() &&
+         a.memory_node() == b.memory_node() &&
+         a.nominal_dvfs_index() == b.nominal_dvfs_index() &&
+         std::equal(a.dvfs_states().begin(), a.dvfs_states().end(),
+                    b.dvfs_states().begin(), b.dvfs_states().end(),
+                    same_dvfs_state);
+}
+
+}  // namespace
+
+void Platform::compute_classes() {
+  classes_.clear();
+  for (const Device& d : devices_) {
+    const auto home =
+        std::find_if(classes_.begin(), classes_.end(),
+                     [&](const DeviceClass& c) {
+                       return same_class(devices_[c.front()], d);
+                     });
+    if (home != classes_.end()) {
+      home->push_back(d.id());
+    } else {
+      classes_.push_back({d.id()});
+    }
+  }
+}
+
 PlatformBuilder::PlatformBuilder(std::string name) {
   platform_.name_ = std::move(name);
 }
@@ -222,6 +258,7 @@ Platform PlatformBuilder::build() {
     throw InvalidArgument("platform needs at least one device");
   }
   platform_.compute_routes();
+  platform_.compute_classes();
   built_ = true;
   return std::move(platform_);
 }

@@ -15,6 +15,9 @@
 
 namespace hetflow::hw {
 
+/// Device ids, ascending, that the cost model cannot tell apart.
+using DeviceClass = std::vector<DeviceId>;
+
 class Platform {
  public:
   const std::string& name() const noexcept { return name_; }
@@ -54,6 +57,16 @@ class Platform {
   /// Devices executing out of a given memory node, in id order.
   std::vector<DeviceId> devices_on_node(MemoryNodeId node) const;
 
+  /// The devices partitioned into classes of equal type, peak_gflops,
+  /// launch overhead, DVFS table and nominal index, and memory node,
+  /// ordered by lowest member id. Every device-dependent term of an
+  /// execution or data-ready estimate is a function of this key, so a
+  /// scheduler may score one member per class (sched/placement.hpp).
+  /// Computed once at build().
+  const std::vector<DeviceClass>& device_classes() const noexcept {
+    return classes_;
+  }
+
   /// Sum of peak_gflops over all devices (capacity upper bound used by
   /// area/throughput lower-bound computations).
   double total_gflops() const noexcept;
@@ -75,8 +88,10 @@ class Platform {
   // routes_[src * node_count + dst]
   std::vector<std::vector<LinkId>> routes_;
   bool fully_connected_ = true;
+  std::vector<DeviceClass> classes_;
 
   void compute_routes();
+  void compute_classes();
 };
 
 /// Fluent builder with validation at build().

@@ -155,11 +155,14 @@ bool ClusterScheduler::node_usable(std::size_t n) const {
 
 double ClusterScheduler::est_exec_on(const core::Task& task,
                                      std::size_t n) const {
-  const hw::ClusterNode& node = cluster_->node(n);
+  // The execution estimate is one value per device class, so one member
+  // of each of the node's classes stands for the rest.
+  const hw::DeviceId first = cluster_->node(n).first_device;
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < node.device_count; ++i) {
+  for (const hw::DeviceClass& members :
+       cluster_->node_platform(n).device_classes()) {
     const hw::Device& device = ctx().platform().device(
-        static_cast<hw::DeviceId>(node.first_device + i));
+        static_cast<hw::DeviceId>(first + members.front()));
     best = std::min(best, ctx().estimate_exec_seconds(task, device));
   }
   return std::isfinite(best) ? best : 0.0;

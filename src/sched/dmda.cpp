@@ -7,9 +7,7 @@ namespace hetflow::sched {
 void DmdaScheduler::on_task_ready(core::Task& task) {
   assign_min_completion(ctx(), task, "dmda",
                         "min completion + locality penalty",
-                        [&](const hw::Device& device) {
-                          return ctx().estimate_completion(task, device);
-                        });
+                        /*data_aware=*/true);
 }
 
 }  // namespace hetflow::sched

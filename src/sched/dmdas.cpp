@@ -32,9 +32,7 @@ void DmdasScheduler::flush() {
     held_.pop();
     assign_min_completion(ctx(), task, "dmdas",
                           "priority order, min completion",
-                          [&](const hw::Device& device) {
-                            return ctx().estimate_completion(task, device);
-                          });
+                          /*data_aware=*/true);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/cluster.hpp"
+#include "hw/presets.hpp"
 #include "util/error.hpp"
 
 namespace hetflow::hw {
@@ -145,6 +147,68 @@ TEST(Platform, DeviceQueriesByTypeAndNode) {
   EXPECT_TRUE(p.devices_of_type(DeviceType::Fpga).empty());
   EXPECT_EQ(p.devices_on_node(0), (std::vector<DeviceId>{0}));
   EXPECT_EQ(p.devices_on_node(1), (std::vector<DeviceId>{1}));
+}
+
+TEST(Platform, PresetDeviceClasses) {
+  // 16 identical cores on host DRAM; each GPU has its own HBM node.
+  std::vector<DeviceClass> hpc(1);
+  for (DeviceId d = 0; d < 16; ++d) {
+    hpc[0].push_back(d);
+  }
+  for (DeviceId g = 16; g < 20; ++g) {
+    hpc.push_back({g});
+  }
+  EXPECT_EQ(make_hpc_node(16, 4).device_classes(), hpc);
+  EXPECT_EQ(make_workstation().device_classes(),
+            (std::vector<DeviceClass>{{0, 1, 2, 3}, {4}}));
+}
+
+TEST(Platform, ClusterFlatViewHasClassesPerNode) {
+  // Every member's devices sit on that member's own memory nodes, so
+  // the flat view splits per node: 4 cores and 1 GPU on each of 16.
+  const Cluster cluster = make_hpc_cluster(16, 4, 1, 1.25);
+  const std::vector<DeviceClass>& classes =
+      cluster.platform().device_classes();
+  ASSERT_EQ(classes.size(), 32u);
+  for (DeviceId n = 0; n < 16; ++n) {
+    const DeviceId first = 5 * n;
+    EXPECT_EQ(classes[2 * n],
+              (DeviceClass{first, first + 1, first + 2, first + 3}));
+    EXPECT_EQ(classes[2 * n + 1], (DeviceClass{first + 4}));
+    EXPECT_EQ(cluster.node_platform(n).device_classes(),
+              (std::vector<DeviceClass>{{0, 1, 2, 3}, {4}}));
+  }
+}
+
+TEST(Platform, EveryClassKeyFieldSplitsAClass) {
+  PlatformBuilder b("near-duplicates");
+  const MemoryNodeId host = b.add_memory_node("host", 8 * kGiB);
+  const MemoryNodeId other = b.add_memory_node("other", 8 * kGiB);
+  b.add_link(host, other, 10.0, 1e-6);
+  const std::vector<DvfsState> dvfs{{1.0, 10.0, 1.0}, {2.0, 20.0, 2.0}};
+  const auto cpu = [&](const std::string& name, double gflops,
+                       MemoryNodeId node, double launch_s) {
+    b.add_device(name, DeviceType::Cpu, gflops, node, launch_s);
+  };
+  cpu("base0", 10.0, host, 1e-6);
+  b.with_dvfs(dvfs, 1);
+  cpu("dvfs-watts", 10.0, host, 1e-6);
+  b.with_dvfs({{1.0, 10.0, 1.0}, {2.0, 25.0, 2.0}}, 1);
+  cpu("base1", 10.0, host, 1e-6);
+  b.with_dvfs(dvfs, 1);
+  cpu("nominal", 10.0, host, 1e-6);
+  b.with_dvfs(dvfs, 0);
+  cpu("launch", 10.0, host, 2e-6);
+  b.with_dvfs(dvfs, 1);
+  cpu("node", 10.0, other, 1e-6);
+  b.with_dvfs(dvfs, 1);
+  cpu("gflops", 11.0, host, 1e-6);
+  b.with_dvfs(dvfs, 1);
+  b.add_device("type", DeviceType::Gpu, 10.0, host, 1e-6);
+  b.with_dvfs(dvfs, 1);
+  const Platform p = b.build();
+  EXPECT_EQ(p.device_classes(),
+            (std::vector<DeviceClass>{{0, 2}, {1}, {3}, {4}, {5}, {6}, {7}}));
 }
 
 TEST(Platform, DescribeMentionsComponents) {

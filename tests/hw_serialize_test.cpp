@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "hw/presets.hpp"
 
@@ -37,6 +39,7 @@ void expect_platforms_equal(const Platform& a, const Platform& b) {
                        db.dvfs_states()[s].busy_watts);
     }
   }
+  EXPECT_EQ(a.device_classes(), b.device_classes());
   for (std::size_t i = 0; i < a.links().size(); ++i) {
     EXPECT_EQ(a.links()[i].src(), b.links()[i].src());
     EXPECT_EQ(a.links()[i].dst(), b.links()[i].dst());
@@ -90,6 +93,28 @@ TEST(PlatformJson, FileRoundTrip) {
   const Platform loaded = load_platform(path);
   expect_platforms_equal(original, loaded);
   std::remove(path.c_str());
+}
+
+TEST(PlatformJson, RoundTripKeepsDeviceClasses) {
+  // Three identical cores, one a DVFS table apart, one on another node.
+  PlatformBuilder builder("near-duplicates");
+  const MemoryNodeId host = builder.add_memory_node("host", 1ULL << 34);
+  const MemoryNodeId far = builder.add_memory_node("far", 1ULL << 34);
+  builder.add_link(host, far, 8.0, 2e-6);
+  const std::vector<DvfsState> dvfs{{1.2, 7.0, 2.0}, {2.4, 15.0, 3.0}};
+  for (int i = 0; i < 5; ++i) {
+    builder.add_device("cpu" + std::to_string(i), DeviceType::Cpu, 12.0,
+                       i == 4 ? far : host, 1e-6);
+    builder.with_dvfs(i == 2 ? std::vector<DvfsState>{{1.2, 7.0, 2.5},
+                                                      {2.4, 15.0, 3.0}}
+                             : dvfs,
+                      1);
+  }
+  const Platform original = builder.build();
+  ASSERT_EQ(original.device_classes(),
+            (std::vector<DeviceClass>{{0, 1, 3}, {2}, {4}}));
+  const Platform reparsed = platform_from_json(to_json(original));
+  EXPECT_EQ(reparsed.device_classes(), original.device_classes());
 }
 
 TEST(PlatformJson, ParseFromHandWrittenJson) {
