@@ -5,8 +5,7 @@
 namespace hetflow::sched {
 
 void DmdaScheduler::on_task_ready(core::Task& task) {
-  assign_min_completion(ctx(), task, "dmda",
-                        "min completion + locality penalty",
+  assign_min_completion(ctx(), task, "dmda", "min completion",
                         /*data_aware=*/true);
 }
 
