@@ -45,9 +45,10 @@ inline void record_decision(obs::Recorder& recorder,
 /// one completion estimated. Members after `rep` cannot beat it, and a
 /// member before it can tie only if its availability + exec <= rep's
 /// completion, since completion is never below that; only those are
-/// estimated too. Ties across classes go to the lower id. With a recorder every eligible member is estimated and
-/// the candidates are logged in device-id order, one row per device.
-/// The metrics-off path allocates nothing.
+/// estimated too. Ties across classes go to the lower id. With a
+/// recorder every eligible member is estimated and the candidates are
+/// logged in device-id order, one row per device. The metrics-off path
+/// allocates nothing.
 inline void assign_min_completion(core::SchedContext& ctx, core::Task& task,
                                   const char* scheduler, const char* reason,
                                   bool data_aware) {
