@@ -31,8 +31,10 @@
 #  10. coverage floors: rebuild with HETFLOW_COVERAGE=ON and require
 #      >= 90% line coverage on src/obs/ under the obs suites (the
 #      exporters' at-scale parse/dump fixed-point test included) and
-#      the JsonWriter suite, and >= 95% on src/sched/ under the
-#      scheduler suites (gcovr when installed, plain gcov otherwise)
+#      the JsonWriter suite, >= 95% on src/sched/ under the scheduler
+#      suites, and >= 90% on src/data/ under the data suites (the
+#      eviction differential included), prefetch and cluster failure
+#      (gcovr when installed, plain gcov otherwise)
 #  11. lint: clang-tidy over files changed vs the merge base (all
 #      first-party files when git history is unavailable); fails on any
 #      diagnostic. Without clang-tidy installed, tools/lint.sh falls back
@@ -159,15 +161,19 @@ campaign_args=(--campaign surrogate --surface branin --evals 24 --batch 6)
 cmp <(grep best build-ci/campaign_straight.txt) \
     <(grep best build-ci/campaign_resumed.txt)
 
-echo "=== [10/12] line-coverage floors (src/obs, src/sched) ==="
-# The obs and sched layers are what the golden suites pin down;
-# unexecuted code there is unpinned code. Each floor counts only the
-# runs of its own test binaries (counters are reset in between):
+echo "=== [10/12] line-coverage floors (src/obs, src/sched, src/data) ==="
+# The obs, sched and data layers are what the golden and differential
+# suites pin down; unexecuted code there is unpinned code. Each floor
+# counts only the runs of its own test binaries (counters are reset in
+# between):
 #   src/obs/   >= 90% under the obs + trace suites and the JsonWriter
 #              suite the exporters stream through;
 #   src/sched/ >= 95% under the sched_* suites (schedule goldens and
 #              the class-walk differential included), cluster
-#              determinism and the cost-memo oracle.
+#              determinism and the cost-memo oracle;
+#   src/data/  >= 90% under the data_* suites (the eviction
+#              differential and its golden included), prefetch and
+#              cluster failure (the only suite reaching distributed.cpp).
 cmake -B build-cov -S . -DHETFLOW_COVERAGE=ON
 
 # coverage_floor <library target> <source dir> <floor %> <test>...
@@ -212,6 +218,10 @@ coverage_floor hf_sched src/sched 95 \
     sched_policies_test sched_heft_test sched_cpop_test sched_peft_test \
     sched_property_test sched_golden_test sched_placement_test \
     cluster_determinism_test core_memo_test
+coverage_floor hf_data src/data 90 \
+    data_handle_test data_transfer_test data_coherence_test \
+    data_manager_test data_eviction_test core_prefetch_test \
+    cluster_failure_test
 
 echo "=== [11/12] lint (changed files) ==="
 changed=()

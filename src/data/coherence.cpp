@@ -32,9 +32,11 @@ const char* to_string(ReplicaState state) noexcept {
 }
 
 CoherenceDirectory::CoherenceDirectory(const hw::Platform& platform,
-                                       const DataRegistry& registry)
+                                       const DataRegistry& registry,
+                                       MemoryLedger* ledger)
     : platform_(&platform),
       registry_(&registry),
+      ledger_(ledger),
       node_count_(platform.memory_node_count()),
       resident_(node_count_),
       resident_bytes_(node_count_, 0) {
@@ -101,17 +103,15 @@ void CoherenceDirectory::set_state(DataId data, hw::MemoryNodeId node,
     list.erase(it);
     resident_bytes_[node] -= bytes;
   }
+  report_residency(data, node, now_valid);
 }
 
-std::vector<hw::MemoryNodeId> CoherenceDirectory::valid_nodes(
-    DataId data) const {
-  std::vector<hw::MemoryNodeId> out;
+std::size_t CoherenceDirectory::valid_count(DataId data) const {
+  std::size_t count = 0;
   for (hw::MemoryNodeId node = 0; node < node_count_; ++node) {
-    if (has_valid_replica(data, node)) {
-      out.push_back(node);
-    }
+    count += has_valid_replica(data, node) ? 1 : 0;
   }
-  return out;
+  return count;
 }
 
 bool CoherenceDirectory::any_valid(DataId data) const {
@@ -149,19 +149,6 @@ hw::MemoryNodeId CoherenceDirectory::pick_source(DataId data,
 void CoherenceDirectory::mark_shared(DataId data, hw::MemoryNodeId node) {
   // A modified owner downgrading to shared keeps its (up-to-date) copy.
   set_state(data, node, ReplicaState::Shared);
-}
-
-std::vector<hw::MemoryNodeId> CoherenceDirectory::mark_modified(
-    DataId data, hw::MemoryNodeId node) {
-  std::vector<hw::MemoryNodeId> invalidated;
-  for (hw::MemoryNodeId other = 0; other < node_count_; ++other) {
-    if (other != node && has_valid_replica(data, other)) {
-      set_state(data, other, ReplicaState::Invalid);
-      invalidated.push_back(other);
-    }
-  }
-  set_state(data, node, ReplicaState::Modified);
-  return invalidated;
 }
 
 void CoherenceDirectory::mark_invalid(DataId data, hw::MemoryNodeId node) {

@@ -6,12 +6,17 @@
 // conflicting accesses, so state transitions are applied eagerly at
 // acquire time (there is never a racing reader on a stale replica —
 // enforced by HETFLOW_REQUIRE in debug-style checks).
+//
+// Given a MemoryLedger, the directory reports every residency change on
+// a node that has an eviction index to it, so each index always holds
+// exactly its node's valid replicas.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "data/access.hpp"
+#include "data/allocator.hpp"
 #include "data/handle.hpp"
 #include "hw/platform.hpp"
 
@@ -23,8 +28,10 @@ const char* to_string(ReplicaState state) noexcept;
 
 class CoherenceDirectory {
  public:
+  /// `ledger` (optional) receives residency changes on indexed nodes.
   CoherenceDirectory(const hw::Platform& platform,
-                     const DataRegistry& registry);
+                     const DataRegistry& registry,
+                     MemoryLedger* ledger = nullptr);
 
   /// Must be called after new handles are registered, before queries.
   /// The home node of each new handle starts as its sole Shared replica.
@@ -48,14 +55,15 @@ class CoherenceDirectory {
     // grows at the back.
     resident_[handle.home_node].push_back(handle.id);
     resident_bytes_[handle.home_node] += handle.bytes;
+    report_residency(handle.id, handle.home_node, true);
   }
 
   ReplicaState state(DataId data, hw::MemoryNodeId node) const;
   bool has_valid_replica(DataId data, hw::MemoryNodeId node) const {
     return state(data, node) != ReplicaState::Invalid;
   }
-  /// Nodes currently holding a valid replica, in node-id order.
-  std::vector<hw::MemoryNodeId> valid_nodes(DataId data) const;
+  /// Number of nodes currently holding a valid replica.
+  std::size_t valid_count(DataId data) const;
   /// True if any node holds a valid replica (false only after a bug or
   /// for never-initialized write-only data).
   bool any_valid(DataId data) const;
@@ -68,10 +76,19 @@ class CoherenceDirectory {
   /// Transitions for the DataManager:
   void mark_shared(DataId data, hw::MemoryNodeId node);
   /// Makes `node` the exclusive modified owner, invalidating all other
-  /// replicas. Returns the list of nodes that lost their replica (for
-  /// allocator accounting).
-  std::vector<hw::MemoryNodeId> mark_modified(DataId data,
-                                              hw::MemoryNodeId node);
+  /// replicas. Calls `on_invalidate(other)` for each node about to lose
+  /// its replica, in node-id order, before invalidating it.
+  template <typename OnInvalidate>
+  void mark_modified(DataId data, hw::MemoryNodeId node,
+                     OnInvalidate&& on_invalidate) {
+    for (hw::MemoryNodeId other = 0; other < node_count_; ++other) {
+      if (other != node && has_valid_replica(data, other)) {
+        on_invalidate(other);
+        set_state(data, other, ReplicaState::Invalid);
+      }
+    }
+    set_state(data, node, ReplicaState::Modified);
+  }
   void mark_invalid(DataId data, hw::MemoryNodeId node);
 
   /// Handles resident (valid) on one node, in id order.
@@ -83,6 +100,7 @@ class CoherenceDirectory {
  private:
   const hw::Platform* platform_;
   const DataRegistry* registry_;
+  MemoryLedger* ledger_;
   std::size_t node_count_;
   // states_[data * node_count_ + node]
   std::vector<ReplicaState> states_;
@@ -90,6 +108,18 @@ class CoherenceDirectory {
   std::vector<std::uint64_t> resident_bytes_;       // per node
 
   void set_state(DataId data, hw::MemoryNodeId node, ReplicaState next);
+  /// Forwards a residency change to the ledger's index for `node`, if
+  /// the node has one.
+  void report_residency(DataId data, hw::MemoryNodeId node, bool valid) {
+    if (ledger_ == nullptr || !ledger_->indexed(node)) {
+      return;
+    }
+    if (valid) {
+      ledger_->note_valid(data, node);
+    } else {
+      ledger_->note_invalid(data, node);
+    }
+  }
   void check(DataId data, hw::MemoryNodeId node) const;
 };
 

@@ -9,9 +9,9 @@ namespace hetflow::data {
 DataManager::DataManager(const hw::Platform& platform,
                          sim::EventQueue& queue)
     : platform_(&platform),
-      directory_(platform, registry_),
-      transfers_(platform, queue),
       ledger_(platform),
+      directory_(platform, registry_, &ledger_),
+      transfers_(platform, queue),
       node_stats_(platform.memory_node_count()) {}
 
 DataManagerStats DataManager::stats() const {
@@ -53,52 +53,37 @@ void DataManager::ensure_capacity(hw::MemoryNodeId node, std::uint64_t needed,
   if (directory_.resident_bytes(node) + needed <= capacity) {
     return;
   }
-  // Victim candidates: resident, unpinned, not part of the current acquire.
-  std::vector<DataId> candidates;
-  for (DataId data : directory_.resident(node)) {
-    if (ledger_.pinned(data, node)) {
-      continue;
+  if (!ledger_.indexed(node)) {
+    ledger_.build_index(node, directory_.resident(node));
+  }
+  // Victims: least recent first, skipping pinned replicas and those of
+  // the current acquire.
+  ledger_.walk_lru(node, [&](DataId victim) {
+    if (directory_.resident_bytes(node) + needed <= capacity) {
+      return false;
     }
     const bool in_use =
         std::any_of(do_not_evict.begin(), do_not_evict.end(),
-                    [&](const Access& a) { return a.data == data; });
-    if (!in_use) {
-      candidates.push_back(data);
+                    [&](const Access& a) { return a.data == victim; });
+    if (in_use || ledger_.pinned(victim, node)) {
+      return true;
     }
-  }
-  ledger_.lru_order(node, candidates);
-  for (DataId victim : candidates) {
-    if (directory_.resident_bytes(node) + needed <= capacity) {
-      return;
-    }
-    if (directory_.state(victim, node) == ReplicaState::Modified) {
-      // Sole up-to-date copy: flush to the handle's home node first.
-      const hw::MemoryNodeId home = registry_.handle(victim).home_node;
-      if (home != node) {
-        transfers_.transfer(node, home, registry_.handle(victim).bytes,
-                            earliest);
-        ++node_stats_[node].writebacks;
-        directory_.mark_shared(victim, node);
-        directory_.mark_shared(victim, home);
-      } else {
-        // Home node is this node; the replica cannot be dropped.
-        continue;
+    if (directory_.state(victim, node) == ReplicaState::Modified ||
+        directory_.valid_count(victim) == 1) {
+      // The only up-to-date copy, or the last copy anywhere: write back
+      // before dropping, or the data would be lost.
+      const DataHandle& handle = registry_.handle(victim);
+      if (handle.home_node == node) {
+        return true;  // this IS the home copy — keep it
       }
-    } else if (directory_.valid_nodes(victim).size() == 1) {
-      // Last clean copy anywhere: write back before dropping, or the data
-      // would be lost.
-      const hw::MemoryNodeId home = registry_.handle(victim).home_node;
-      if (home == node) {
-        continue;  // this IS the home copy — keep it
-      }
-      transfers_.transfer(node, home, registry_.handle(victim).bytes,
-                          earliest);
+      transfers_.transfer(node, handle.home_node, handle.bytes, earliest);
       ++node_stats_[node].writebacks;
-      directory_.mark_shared(victim, home);
+      directory_.mark_shared(victim, handle.home_node);
     }
     directory_.mark_invalid(victim, node);
     ++node_stats_[node].evictions;
-  }
+    return true;
+  });
   if (directory_.resident_bytes(node) + needed > capacity) {
     throw ResourceExhausted(util::format(
         "memory node %u ('%s') cannot fit %llu more bytes (resident %llu of "
@@ -121,46 +106,50 @@ sim::SimTime DataManager::acquire(std::span<const Access> accesses,
     // An in-flight prefetch counts as "arriving": wait for it instead of
     // transferring again.
     sim::SimTime& flight = in_flight_[flight_key(access.data, node)];
-    if (flight != kNotInFlight) {
+    const bool arriving = flight != kNotInFlight;
+    // Only the transfer paths need the handle row (bytes); the
+    // everything-local fast path never touches the registry.
+    const DataHandle* missing =
+        arriving || local ? nullptr : &registry_.handle(access.data);
+    const bool allocate = missing != nullptr && missing->bytes > 0;
+    if (allocate) {
+      ensure_capacity(node, missing->bytes, earliest, accesses);
+    }
+    // Stamped after the only throw and before the replica can become
+    // valid, so a fresh replica enters an eviction index at its tail.
+    ledger_.touch(access.data, node);
+    if (arriving) {
       if (is_read(access.mode)) {
         ready = std::max(ready, flight);
       }
       flight = kNotInFlight;
-    } else if (!local) {
-      // Only the transfer paths need the handle row (bytes); the
-      // everything-local fast path above never touches the registry.
-      const DataHandle& handle = registry_.handle(access.data);
-      if (is_read(access.mode) && handle.bytes > 0) {
-        ensure_capacity(node, handle.bytes, earliest, accesses);
-        const hw::MemoryNodeId source =
-            directory_.pick_source(access.data, node);
-        const sim::SimTime done =
-            transfers_.transfer(source, node, handle.bytes, earliest);
-        ++node_stats_[node].fetches;
-        // MSI remote read: a Modified owner loses exclusivity but keeps
-        // its (up-to-date) copy — both ends are Shared afterwards.
-        if (directory_.state(access.data, source) == ReplicaState::Modified) {
-          directory_.mark_shared(access.data, source);
-        }
-        directory_.mark_shared(access.data, node);
-        ready = std::max(ready, done);
-      } else if (handle.bytes > 0) {
-        // Write-only: allocate space, no fetch of the stale value.
-        ensure_capacity(node, handle.bytes, earliest, accesses);
-        directory_.mark_shared(access.data, node);  // placeholder until write
+    } else if (allocate && is_read(access.mode)) {
+      const hw::MemoryNodeId source =
+          directory_.pick_source(access.data, node);
+      const sim::SimTime done =
+          transfers_.transfer(source, node, missing->bytes, earliest);
+      ++node_stats_[node].fetches;
+      // MSI remote read: a Modified owner loses exclusivity but keeps
+      // its (up-to-date) copy — both ends are Shared afterwards.
+      if (directory_.state(access.data, source) == ReplicaState::Modified) {
+        directory_.mark_shared(access.data, source);
       }
+      directory_.mark_shared(access.data, node);
+      ready = std::max(ready, done);
+    } else if (allocate) {
+      // Write-only: allocate space, no fetch of the stale value.
+      directory_.mark_shared(access.data, node);  // placeholder until write
     }
     if (is_write(access.mode)) {
-      const auto invalidated = directory_.mark_modified(access.data, node);
-      for (hw::MemoryNodeId other : invalidated) {
-        HETFLOW_REQUIRE_MSG(
-            !ledger_.pinned(access.data, other),
-            "invalidating a pinned replica — conflicting concurrent access "
-            "(runtime dependency bug)");
-      }
+      directory_.mark_modified(
+          access.data, node, [&](hw::MemoryNodeId other) {
+            HETFLOW_REQUIRE_MSG(
+                !ledger_.pinned(access.data, other),
+                "invalidating a pinned replica — conflicting concurrent "
+                "access (runtime dependency bug)");
+          });
     }
     ledger_.pin(access.data, node);
-    ledger_.touch(access.data, node);
   }
   return ready;
 }
@@ -182,8 +171,9 @@ void DataManager::prefetch(std::span<const Access> accesses,
     const bool local = directory_.has_valid_replica(access.data, node);
     const bool already_in_flight =
         in_flight_[flight_key(access.data, node)] != kNotInFlight;
-    if (!local && !already_in_flight && handle.bytes > 0 &&
-        directory_.any_valid(access.data)) {
+    bool fetch = !local && !already_in_flight && handle.bytes > 0 &&
+                 directory_.any_valid(access.data);
+    if (fetch) {
       // Best-effort: deep queues can want more than the memory holds
       // (everything already prefetched is pinned). Skip rather than
       // fail — the execution-time acquire() fetches on demand once the
@@ -191,10 +181,11 @@ void DataManager::prefetch(std::span<const Access> accesses,
       try {
         ensure_capacity(node, handle.bytes, earliest, accesses);
       } catch (const ResourceExhausted&) {
-        ledger_.pin(access.data, node);
-        ledger_.touch(access.data, node);
-        continue;
+        fetch = false;
       }
+    }
+    ledger_.touch(access.data, node);  // as in acquire()
+    if (fetch) {
       const hw::MemoryNodeId source =
           directory_.pick_source(access.data, node);
       const sim::SimTime done =
@@ -220,7 +211,6 @@ void DataManager::prefetch(std::span<const Access> accesses,
     }
     // Pin regardless (also protects already-local replicas until start).
     ledger_.pin(access.data, node);
-    ledger_.touch(access.data, node);
   }
 }
 
@@ -263,7 +253,7 @@ std::vector<DataId> DataManager::invalidate_node(hw::MemoryNodeId node) {
   // Copy: mark_invalid edits the residency list we are walking.
   const std::vector<DataId> resident = directory_.resident(node);
   for (const DataId data : resident) {
-    if (directory_.valid_nodes(data).size() == 1) {
+    if (directory_.valid_count(data) == 1) {
       lost.push_back(data);
     }
     directory_.mark_invalid(data, node);
@@ -284,8 +274,8 @@ void DataManager::reseed(DataId data, hw::MemoryNodeId node,
   if (handle.bytes > 0) {
     ensure_capacity(node, handle.bytes, earliest, {});
   }
+  ledger_.touch(data, node);  // as in acquire()
   directory_.mark_shared(data, node);
-  ledger_.touch(data, node);
 }
 
 std::uint64_t DataManager::missing_input_bytes(

@@ -41,6 +41,7 @@ class DataManager {
   const DataRegistry& registry() const noexcept { return registry_; }
   const CoherenceDirectory& directory() const noexcept { return directory_; }
   const TransferEngine& transfers() const noexcept { return transfers_; }
+  const MemoryLedger& ledger() const noexcept { return ledger_; }
   /// Totals over every memory node (computed from node_stats()).
   DataManagerStats stats() const;
   /// Per memory node: fetches and prefetches count toward the
@@ -110,9 +111,9 @@ class DataManager {
  private:
   const hw::Platform* platform_;
   DataRegistry registry_;
+  MemoryLedger ledger_;  ///< before directory_, which reports to it
   CoherenceDirectory directory_;
   TransferEngine transfers_;
-  MemoryLedger ledger_;
   std::vector<DataManagerStats> node_stats_;
   obs::Recorder* recorder_ = nullptr;
   /// Flat (data, node) directory of in-flight prefetch completion times,
@@ -129,8 +130,10 @@ class DataManager {
 
   /// Frees space on `node` until `needed` more bytes fit; evicts unpinned
   /// LRU replicas (write-back to home first when the victim is the sole
-  /// valid copy). `earliest` anchors write-back transfers in time.
-  /// Throws ResourceExhausted when pinned data alone exceeds capacity.
+  /// valid copy) in the order of the node's eviction index, building the
+  /// index the first time the node must evict. `earliest` anchors
+  /// write-back transfers in time. Throws ResourceExhausted when pinned
+  /// data alone exceeds capacity.
   void ensure_capacity(hw::MemoryNodeId node, std::uint64_t needed,
                        sim::SimTime earliest,
                        std::span<const Access> do_not_evict);

@@ -1,5 +1,7 @@
 #include "data/coherence.hpp"
 
+#include "data/distributed.hpp"
+
 #include <gtest/gtest.h>
 
 namespace hetflow::data {
@@ -33,7 +35,7 @@ TEST(Coherence, HomeCopyStartsShared) {
   EXPECT_EQ(dir.state(d, 0), ReplicaState::Shared);
   EXPECT_EQ(dir.state(d, 1), ReplicaState::Invalid);
   EXPECT_TRUE(dir.any_valid(d));
-  EXPECT_EQ(dir.valid_nodes(d), (std::vector<hw::MemoryNodeId>{0}));
+  EXPECT_EQ(dir.valid_count(d), 1u);
 }
 
 TEST(Coherence, SyncPicksUpLateRegistrations) {
@@ -50,7 +52,8 @@ TEST(Coherence, MarkSharedAddsReplica) {
   CoherenceDirectory dir(f.platform, f.registry);
   dir.mark_shared(d, 1);
   EXPECT_EQ(dir.state(d, 1), ReplicaState::Shared);
-  EXPECT_EQ(dir.valid_nodes(d), (std::vector<hw::MemoryNodeId>{0, 1}));
+  EXPECT_EQ(dir.state(d, 0), ReplicaState::Shared);
+  EXPECT_EQ(dir.valid_count(d), 2u);
 }
 
 TEST(Coherence, MarkModifiedInvalidatesOthers) {
@@ -59,8 +62,14 @@ TEST(Coherence, MarkModifiedInvalidatesOthers) {
   CoherenceDirectory dir(f.platform, f.registry);
   dir.mark_shared(d, 1);
   dir.mark_shared(d, 2);
-  const auto invalidated = dir.mark_modified(d, 1);
+  std::vector<hw::MemoryNodeId> invalidated;
+  dir.mark_modified(d, 1, [&](hw::MemoryNodeId other) {
+    // Reported before the replica goes.
+    EXPECT_EQ(dir.state(d, other), ReplicaState::Shared);
+    invalidated.push_back(other);
+  });
   EXPECT_EQ(invalidated, (std::vector<hw::MemoryNodeId>{0, 2}));
+  EXPECT_EQ(dir.valid_count(d), 1u);
   EXPECT_EQ(dir.state(d, 0), ReplicaState::Invalid);
   EXPECT_EQ(dir.state(d, 1), ReplicaState::Modified);
   EXPECT_EQ(dir.state(d, 2), ReplicaState::Invalid);
@@ -70,7 +79,7 @@ TEST(Coherence, ModifiedDowngradesToShared) {
   Fixture f;
   const DataId d = f.registry.register_data("A", 100, 0);
   CoherenceDirectory dir(f.platform, f.registry);
-  dir.mark_modified(d, 1);
+  dir.mark_modified(d, 1, [](hw::MemoryNodeId) {});
   dir.mark_shared(d, 1);
   EXPECT_EQ(dir.state(d, 1), ReplicaState::Shared);
   EXPECT_TRUE(dir.any_valid(d));
@@ -127,6 +136,40 @@ TEST(Coherence, QueriesBeforeSyncThrow) {
   CoherenceDirectory dir(f.platform, f.registry);
   f.registry.register_data("new", 10, 0);
   EXPECT_THROW(dir.state(0, 0), util::InternalError);
+}
+
+TEST(Coherence, DistributedViewGroupsMemoryNodes) {
+  // Cluster node 0 = {host, v0}, cluster node 1 = {v1}.
+  Fixture f;
+  const DataId a = f.registry.register_data("A", 100, 0);
+  const DataId b = f.registry.register_data("B", 30, 2);
+  CoherenceDirectory dir(f.platform, f.registry);
+  const DistributedDirectory view(dir, f.registry, {0, 0, 1});
+  EXPECT_EQ(view.cluster_node_count(), 2u);
+  EXPECT_EQ(view.cluster_node_of(1), 0u);
+  EXPECT_EQ(view.cluster_node_of(2), 1u);
+  EXPECT_THROW(view.cluster_node_of(3), util::InternalError);
+  EXPECT_TRUE(view.node_has_replica(a, 0));
+  EXPECT_FALSE(view.node_has_replica(a, 1));
+  EXPECT_THROW(view.node_has_replica(a, 2), util::InternalError);
+  EXPECT_EQ(view.owner_node(a), DistributedDirectory::kNoOwner);
+
+  const Access reads[] = {{a, AccessMode::Read}, {b, AccessMode::Redux},
+                          {a, AccessMode::Write}};
+  EXPECT_EQ(view.resident_input_bytes(reads, 3, 0), 100u);
+  EXPECT_EQ(view.missing_input_bytes(reads, 3, 0), 30u);
+  EXPECT_EQ(view.resident_input_bytes(reads, 3, 1), 30u);
+  EXPECT_EQ(view.missing_input_bytes(reads, 3, 1), 100u);
+
+  dir.mark_shared(a, 1);  // a second replica inside cluster node 0
+  EXPECT_EQ(view.resident_bytes_on(0), 200u);
+  EXPECT_EQ(view.replica_nodes(a), (std::vector<std::size_t>{0}));
+  dir.mark_modified(a, 2, [](hw::MemoryNodeId) {});
+  EXPECT_EQ(view.owner_node(a), 1u);
+  EXPECT_EQ(view.replica_nodes(a), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(view.resident_bytes_on(0), 0u);
+  EXPECT_EQ(view.resident_bytes_on(1), 130u);
+  EXPECT_THROW(view.resident_bytes_on(2), util::InternalError);
 }
 
 }  // namespace

@@ -254,10 +254,41 @@ TEST(MemoryLedger, LruOrderLeastRecentFirst) {
   ledger.touch(0, 1);
   ledger.touch(1, 1);
   ledger.touch(0, 1);  // 0 is now most recent
-  std::vector<DataId> candidates = {0, 1, 2};
-  ledger.lru_order(1, candidates);
+  const std::vector<DataId> resident = {0, 1, 2};
+  ledger.build_index(1, resident);
+  const auto order = [&] {
+    std::vector<DataId> out;
+    ledger.walk_lru(1, [&](DataId data) {
+      out.push_back(data);
+      return true;
+    });
+    return out;
+  };
   // 2 never touched -> first; then 1; then 0.
-  EXPECT_EQ(candidates, (std::vector<DataId>{2, 1, 0}));
+  EXPECT_EQ(order(), (std::vector<DataId>{2, 1, 0}));
+  // A touch moves a replica to the tail; a never-touched replica that
+  // becomes valid later goes ahead of every touched one, in id order.
+  ledger.touch(1, 1);
+  ledger.note_valid(3, 1);
+  EXPECT_EQ(order(), (std::vector<DataId>{2, 3, 0, 1}));
+  // An invalidated replica keeps its stamp and returns to its old place.
+  ledger.note_invalid(0, 1);
+  EXPECT_EQ(order(), (std::vector<DataId>{2, 3, 1}));
+  ledger.note_valid(0, 1);
+  EXPECT_EQ(order(), (std::vector<DataId>{2, 3, 0, 1}));
+  // The walk stops when the visitor says so.
+  std::vector<DataId> first_two;
+  ledger.walk_lru(1, [&](DataId data) {
+    first_two.push_back(data);
+    return first_two.size() < 2;
+  });
+  EXPECT_EQ(first_two, (std::vector<DataId>{2, 3}));
+  // Other nodes have no index until one is built.
+  EXPECT_TRUE(ledger.indexed(1));
+  EXPECT_FALSE(ledger.indexed(0));
+  ledger.clear_node(1);
+  EXPECT_FALSE(ledger.indexed(1));
+  EXPECT_EQ(ledger.last_use(1, 1), 0u);
 }
 
 }  // namespace
