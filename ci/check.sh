@@ -170,7 +170,8 @@ echo "=== [10/12] line-coverage floors (src/obs, src/sched, src/data) ==="
 #              suite the exporters stream through;
 #   src/sched/ >= 95% under the sched_* suites (schedule goldens and
 #              the class-walk differential included), cluster
-#              determinism and the cost-memo oracle;
+#              determinism, the cluster placement differential and the
+#              cost-memo oracle;
 #   src/data/  >= 90% under the data_* suites (the eviction
 #              differential and its golden included), prefetch and
 #              cluster failure (the only suite reaching distributed.cpp).
@@ -217,7 +218,7 @@ coverage_floor hf_obs src/obs 90 \
 coverage_floor hf_sched src/sched 95 \
     sched_policies_test sched_heft_test sched_cpop_test sched_peft_test \
     sched_property_test sched_golden_test sched_placement_test \
-    cluster_determinism_test core_memo_test
+    cluster_determinism_test cluster_placement_test core_memo_test
 coverage_floor hf_data src/data 90 \
     data_handle_test data_transfer_test data_coherence_test \
     data_manager_test data_eviction_test core_prefetch_test \

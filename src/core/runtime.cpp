@@ -167,6 +167,8 @@ Runtime::Runtime(const hw::Platform& platform,
   if (options_.metrics) {
     recorder_ = std::make_unique<obs::Recorder>();
     data_.set_recorder(recorder_.get());
+    recorder_->devices() = obs::DeviceSeries(recorder_->metrics(), platform,
+                                             scheduler_->name());
   }
   dead_memory_.assign(platform.memory_node_count(), false);
   cost_cache_.attach(platform);
@@ -565,13 +567,8 @@ void Runtime::internal_assign(Task& task, const hw::Device& device,
   task.queued_est_s = exec_estimate(task, device, dvfs);
   state.queued_est_seconds += task.queued_est_s;
   if (recorder_ != nullptr) {
-    recorder_->metrics()
-        .counter("tasks_scheduled", {{"device", device.name()},
-                                     {"scheduler", scheduler_->name()}})
-        .inc();
-    recorder_->metrics()
-        .time_weighted("queue_depth", device_labels(device))
-        .update(queue_.now(), static_cast<double>(state.queue.size()));
+    recorder_->devices().task_queued(device.id(), queue_.now(),
+                                     state.queue.size());
   }
   if (options_.enable_prefetch) {
     // The task is Ready, so its inputs are final: start moving them now,
@@ -624,9 +621,7 @@ void Runtime::start_next(hw::DeviceId id) {
   Task& task = *state.queue.front();
   state.queue.pop_front();
   if (recorder_ != nullptr) {
-    recorder_->metrics()
-        .time_weighted("queue_depth", device_labels(platform_->device(id)))
-        .update(queue_.now(), static_cast<double>(state.queue.size()));
+    recorder_->devices().queue_changed(id, queue_.now(), state.queue.size());
   }
   state.queued_est_seconds =
       std::max(0.0, state.queued_est_seconds - task.queued_est_s);
@@ -945,10 +940,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
 
 void Runtime::requeue_attempt(Task& task, hw::DeviceId device_id) {
   if (recorder_ != nullptr) {
-    recorder_->metrics()
-        .counter("retry_attempts",
-                 device_labels(platform_->device(device_id)))
-        .inc();
+    recorder_->devices().retry(device_id);
     obs::Event event;
     event.kind = obs::EventKind::Retry;
     event.time = queue_.now();
@@ -975,9 +967,8 @@ void Runtime::requeue_attempt(Task& task, hw::DeviceId device_id) {
       task.queued_est_s = exec_estimate(task, device, task.dvfs_state());
       state.queued_est_seconds += task.queued_est_s;
       if (recorder_ != nullptr) {
-        recorder_->metrics()
-            .time_weighted("queue_depth", device_labels(device))
-            .update(queue_.now(), static_cast<double>(state.queue.size()));
+        recorder_->devices().queue_changed(device_id, queue_.now(),
+                                           state.queue.size());
       }
       break;
     }

@@ -7,96 +7,28 @@
 namespace hetflow::data {
 
 DistributedDirectory::DistributedDirectory(
-    const CoherenceDirectory& directory, const DataRegistry& registry,
+    const CoherenceDirectory& directory,
     std::vector<std::uint32_t> memory_to_node)
-    : directory_(&directory),
-      registry_(&registry),
-      memory_to_node_(std::move(memory_to_node)) {
-  HETFLOW_REQUIRE_MSG(!memory_to_node_.empty(),
+    : directory_(&directory) {
+  HETFLOW_REQUIRE_MSG(!memory_to_node.empty(),
                       "memory-to-node grouping must not be empty");
-  node_count_ =
-      1 + *std::max_element(memory_to_node_.begin(), memory_to_node_.end());
-  members_.resize(node_count_);
-  for (std::size_t m = 0; m < memory_to_node_.size(); ++m) {
-    members_[memory_to_node_[m]].push_back(
-        static_cast<hw::MemoryNodeId>(m));
+  members_.resize(
+      1 + *std::max_element(memory_to_node.begin(), memory_to_node.end()));
+  for (std::size_t m = 0; m < memory_to_node.size(); ++m) {
+    members_[memory_to_node[m]].push_back(static_cast<hw::MemoryNodeId>(m));
   }
 }
 
-std::size_t DistributedDirectory::cluster_node_of(hw::MemoryNodeId m) const {
-  HETFLOW_REQUIRE_MSG(m < memory_to_node_.size(),
-                      "memory node id out of range");
-  return memory_to_node_[m];
-}
-
-bool DistributedDirectory::node_has_replica(DataId data,
-                                            std::size_t n) const {
-  HETFLOW_REQUIRE_MSG(n < node_count_, "cluster node index out of range");
-  for (const hw::MemoryNodeId m : members_[n]) {
-    if (directory_->has_valid_replica(data, m)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t DistributedDirectory::owner_node(DataId data) const {
-  for (std::size_t n = 0; n < node_count_; ++n) {
+void DistributedDirectory::append_replica_nodes(
+    DataId data, std::vector<std::size_t>& out) const {
+  for (std::size_t n = 0; n < members_.size(); ++n) {
     for (const hw::MemoryNodeId m : members_[n]) {
-      if (directory_->state(data, m) == ReplicaState::Modified) {
-        return n;
+      if (directory_->has_valid_replica(data, m)) {
+        out.push_back(n);
+        break;
       }
     }
   }
-  return kNoOwner;
-}
-
-std::vector<std::size_t> DistributedDirectory::replica_nodes(
-    DataId data) const {
-  std::vector<std::size_t> nodes;
-  for (std::size_t n = 0; n < node_count_; ++n) {
-    if (node_has_replica(data, n)) {
-      nodes.push_back(n);
-    }
-  }
-  return nodes;
-}
-
-std::uint64_t DistributedDirectory::resident_input_bytes(
-    const Access* accesses, std::size_t count, std::size_t n) const {
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!is_read(accesses[i].mode) && !is_redux(accesses[i].mode)) {
-      continue;
-    }
-    if (node_has_replica(accesses[i].data, n)) {
-      bytes += registry_->handle(accesses[i].data).bytes;
-    }
-  }
-  return bytes;
-}
-
-std::uint64_t DistributedDirectory::missing_input_bytes(
-    const Access* accesses, std::size_t count, std::size_t n) const {
-  std::uint64_t missing = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!is_read(accesses[i].mode) && !is_redux(accesses[i].mode)) {
-      continue;
-    }
-    if (!node_has_replica(accesses[i].data, n)) {
-      missing += registry_->handle(accesses[i].data).bytes;
-    }
-  }
-  return missing;
-}
-
-std::uint64_t DistributedDirectory::resident_bytes_on(std::size_t n) const {
-  HETFLOW_REQUIRE_MSG(n < node_count_, "cluster node index out of range");
-  std::uint64_t bytes = 0;
-  for (const hw::MemoryNodeId m : members_[n]) {
-    bytes += directory_->resident_bytes(m);
-  }
-  return bytes;
 }
 
 }  // namespace hetflow::data

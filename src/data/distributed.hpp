@@ -3,18 +3,16 @@
 // The flat CoherenceDirectory stays the single source of truth for
 // replica states on every memory node of the flattened cluster
 // Platform; this view groups its per-memory-node answers by *cluster
-// node* so placement scoring and the cluster invariant checkers can ask
-// "which node owns this datum?" and "how many input bytes are already
-// resident on node k?" without knowing about hw::Cluster (the grouping
-// arrives as a plain memory-node -> cluster-node vector, keeping the
-// data layer decoupled from cluster construction).
+// node* so placement scoring can ask "which nodes hold this datum?"
+// without knowing about hw::Cluster (the grouping arrives as a plain
+// memory-node -> cluster-node vector, keeping the data layer decoupled
+// from cluster construction).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "data/access.hpp"
 #include "data/coherence.hpp"
 #include "data/handle.hpp"
 
@@ -22,48 +20,19 @@ namespace hetflow::data {
 
 class DistributedDirectory {
  public:
-  static constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
-
   /// `memory_to_node[m]` is the cluster node owning flat memory node m
-  /// (hw::Cluster::memory_to_node()). The directory and registry must
-  /// outlive this view.
+  /// (hw::Cluster::memory_to_node()). The directory must outlive this
+  /// view.
   DistributedDirectory(const CoherenceDirectory& directory,
-                       const DataRegistry& registry,
                        std::vector<std::uint32_t> memory_to_node);
 
-  std::size_t cluster_node_count() const noexcept { return node_count_; }
-  std::size_t cluster_node_of(hw::MemoryNodeId m) const;
-
-  /// True when any memory node of cluster node `n` holds a valid replica.
-  bool node_has_replica(DataId data, std::size_t n) const;
-
-  /// Cluster node holding the exclusive Modified replica, or kNoOwner
-  /// when the datum is Shared/Invalid everywhere.
-  std::size_t owner_node(DataId data) const;
-
-  /// Cluster nodes holding at least one valid replica, in node order.
-  std::vector<std::size_t> replica_nodes(DataId data) const;
-
-  /// Bytes of the read-mode inputs in [accesses, accesses+count) already
-  /// valid somewhere on cluster node `n`.
-  std::uint64_t resident_input_bytes(const Access* accesses,
-                                     std::size_t count, std::size_t n) const;
-
-  /// Bytes of read-mode inputs that would have to cross the fabric to
-  /// reach cluster node `n` (total read bytes minus resident).
-  std::uint64_t missing_input_bytes(const Access* accesses, std::size_t count,
-                                    std::size_t n) const;
-
-  /// Total replica bytes valid on cluster node `n` (sum over its memory
-  /// nodes; replicas on two member nodes count twice, as they occupy
-  /// capacity twice).
-  std::uint64_t resident_bytes_on(std::size_t n) const;
+  /// Appends to `out`, in ascending order, every cluster node on which
+  /// any memory node holds a valid replica of `data`. One pass over the
+  /// datum's directory row; allocates only if `out` must grow.
+  void append_replica_nodes(DataId data, std::vector<std::size_t>& out) const;
 
  private:
   const CoherenceDirectory* directory_;
-  const DataRegistry* registry_;
-  std::vector<std::uint32_t> memory_to_node_;
-  std::size_t node_count_ = 0;
   // memory node ids of each cluster node, grouped for iteration
   std::vector<std::vector<hw::MemoryNodeId>> members_;
 };

@@ -86,9 +86,12 @@ const char* to_string(MetricKind kind) noexcept;
 
 class MetricsRegistry {
  public:
-  /// Lookup-or-create. The returned reference is stable for the life of
-  /// the registry (entries live in std::map nodes). Re-registering a name
-  /// with a different kind throws InvalidArgument.
+  /// Lookup-or-create. The returned reference stays valid for the
+  /// registry's lifetime, however many entries are added later (entries
+  /// live in std::map nodes, which never move), so a caller may keep it
+  /// as a handle instead of repeating the lookup (obs::DeviceSeries
+  /// does). Re-registering a name with a different kind throws
+  /// InvalidArgument.
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
   TimeWeighted& time_weighted(const std::string& name,

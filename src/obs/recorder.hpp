@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "obs/decision_log.hpp"
+#include "obs/device_series.hpp"
 #include "obs/metrics.hpp"
 
 namespace hetflow::obs {
@@ -59,6 +60,10 @@ class Recorder {
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
+  /// Handles for the per-device series the runtime updates on every
+  /// task. Inert until the runtime assigns one built over metrics().
+  DeviceSeries& devices() noexcept { return devices_; }
+
   void record(Event event);
   const std::vector<Event>& events() const noexcept { return events_; }
 
@@ -74,6 +79,7 @@ class Recorder {
 
  private:
   MetricsRegistry metrics_;
+  DeviceSeries devices_;
   std::vector<Event> events_;
   std::vector<SchedDecision> decisions_;
 };

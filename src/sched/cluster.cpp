@@ -110,6 +110,9 @@ ClusterScheduler::ClusterScheduler(const hw::Cluster& cluster,
   }
   node_load_s_.assign(cluster.node_count(), 0.0);
   node_count_.assign(cluster.node_count(), 0);
+  words_per_datum_ = (cluster.node_count() + 63) / 64;
+  candidates_.reserve(cluster.node_count());
+  est_.assign(cluster.node_count(), 0.0);
 }
 
 ClusterScheduler::~ClusterScheduler() = default;
@@ -131,7 +134,7 @@ void ClusterScheduler::attach(core::SchedContext& ctx) {
   const data::CoherenceDirectory* coherence = ctx.coherence();
   if (coherence != nullptr) {
     directory_ = std::make_unique<data::DistributedDirectory>(
-        *coherence, ctx.data_registry(), cluster_->memory_to_node());
+        *coherence, cluster_->memory_to_node());
   }
   contexts_.clear();
   contexts_.reserve(inners_.size());
@@ -156,7 +159,8 @@ bool ClusterScheduler::node_usable(std::size_t n) const {
 double ClusterScheduler::est_exec_on(const core::Task& task,
                                      std::size_t n) const {
   // The execution estimate is one value per device class, so one member
-  // of each of the node's classes stands for the rest.
+  // of each of the node's classes stands for the rest. Infinite when no
+  // device on the node can run the task.
   const hw::DeviceId first = cluster_->node(n).first_device;
   double best = std::numeric_limits<double>::infinity();
   for (const hw::DeviceClass& members :
@@ -165,41 +169,64 @@ double ClusterScheduler::est_exec_on(const core::Task& task,
         static_cast<hw::DeviceId>(first + members.front()));
     best = std::min(best, ctx().estimate_exec_seconds(task, device));
   }
-  return std::isfinite(best) ? best : 0.0;
+  return best;
 }
 
-double ClusterScheduler::transfer_cost_s(const core::Task& task,
-                                         std::size_t n) const {
-  double cost = 0.0;
+void ClusterScheduler::resolve_inputs(const core::Task& task) {
+  inputs_.clear();
+  replica_nodes_.clear();
   const data::DataRegistry& registry = ctx().data_registry();
   for (const data::Access& access : task.accesses()) {
     if (!data::is_read(access.mode) && !data::is_redux(access.mode)) {
       continue;
     }
-    const std::uint64_t bytes = registry.handle(access.data).bytes;
-    if (bytes == 0) {
+    Input input;
+    input.bytes = registry.handle(access.data).bytes;
+    if (input.bytes == 0) {
       continue;
     }
-    if (directory_ != nullptr && directory_->node_has_replica(access.data, n)) {
-      continue;  // already on this node
-    }
-    double hop = std::numeric_limits<double>::infinity();
+    input.first = replica_nodes_.size();
     if (directory_ != nullptr) {
-      for (const std::size_t replica : directory_->replica_nodes(access.data)) {
-        hop = std::min(hop, cluster_->internode_time_s(replica, n, bytes));
+      directory_->append_replica_nodes(access.data, replica_nodes_);
+    }
+    input.last = replica_nodes_.size();
+    if (access.data < predicted_home_.size()) {
+      input.predicted = predicted_home_[access.data];
+    }
+    const std::size_t row =
+        static_cast<std::size_t>(access.data) * words_per_datum_;
+    if (row < planned_replica_.size()) {
+      input.planned = planned_replica_.data() + row;
+    }
+    inputs_.push_back(input);
+  }
+}
+
+double ClusterScheduler::transfer_cost_s(std::size_t n) const {
+  double cost = 0.0;
+  for (const Input& input : inputs_) {
+    double hop = std::numeric_limits<double>::infinity();
+    bool resident = false;
+    for (std::size_t r = input.first; r < input.last; ++r) {
+      if (replica_nodes_[r] == n) {
+        resident = true;  // already on this node
+        break;
       }
+      hop = std::min(hop,
+                     cluster_->internode_time_s(replica_nodes_[r], n,
+                                                input.bytes));
+    }
+    if (resident) {
+      continue;
     }
     if (!std::isfinite(hop)) {
       // Not materialized yet: chase where its producer was placed.
-      const auto predicted = predicted_home_.find(access.data);
-      if (predicted != predicted_home_.end()) {
-        hop = cluster_->internode_time_s(predicted->second, n, bytes);
-      } else {
-        hop = 0.0;  // unknown origin — no penalty
-      }
+      hop = input.predicted != kNoPlacement
+                ? cluster_->internode_time_s(input.predicted, n, input.bytes)
+                : 0.0;  // unknown origin — no penalty
     }
-    const auto planned = planned_replica_.find(access.data);
-    if (planned != planned_replica_.end() && planned->second[n]) {
+    if (input.planned != nullptr &&
+        ((input.planned[n / 64] >> (n % 64)) & 1U) != 0) {
       // An already-placed consumer is bound to pull the datum here, so
       // this task likely rides that replica — but only if it runs after
       // the fetch. Discount rather than zero the hop: the certain copy
@@ -212,24 +239,34 @@ double ClusterScheduler::transfer_cost_s(const core::Task& task,
   return cost;
 }
 
-std::size_t ClusterScheduler::choose_node(const core::Task& task) {
-  std::vector<std::size_t> usable;
-  usable.reserve(cluster_->node_count());
+std::size_t ClusterScheduler::choose_node(const core::Task& task,
+                                          double& est) {
+  // Candidates: usable nodes that can run the task. A node with no
+  // device for the codelet (or none whose memory holds its working set)
+  // has an infinite estimate and is never a candidate.
+  candidates_.clear();
   for (std::size_t n = 0; n < cluster_->node_count(); ++n) {
-    if (node_usable(n)) {
-      usable.push_back(n);
+    est_[n] = est_exec_on(task, n);
+    if (std::isfinite(est_[n]) && node_usable(n)) {
+      candidates_.push_back(n);
     }
   }
-  if (usable.empty()) {
-    // Every node quarantined: fall back to all (mirrors dmda's two-pass
-    // fallback — stragglers wait out probation rather than stall).
+  if (candidates_.empty()) {
+    // Every capable node quarantined: fall back to all of them (mirrors
+    // dmda's two-pass fallback — stragglers wait out probation rather
+    // than stall).
     for (std::size_t n = 0; n < cluster_->node_count(); ++n) {
-      usable.push_back(n);
+      if (std::isfinite(est_[n])) {
+        candidates_.push_back(n);
+      }
     }
   }
+  HETFLOW_REQUIRE_MSG(!candidates_.empty(),
+                      "cluster placement: no node can run the task");
   if (policy_ == PlacementPolicy::RoundRobin) {
-    const std::size_t pick = usable[next_node_ % usable.size()];
+    const std::size_t pick = candidates_[next_node_ % candidates_.size()];
     ++next_node_;
+    est = est_[pick];
     return pick;
   }
   // Balance cap (delay-scheduling style): only nodes within a small
@@ -240,17 +277,19 @@ std::size_t ClusterScheduler::choose_node(const core::Task& task) {
   // count spread as tight as round-robin's while still letting data
   // affinity pick WHICH of the balanced nodes gets each task.
   std::uint32_t min_count = std::numeric_limits<std::uint32_t>::max();
-  for (const std::size_t n : usable) {
+  for (const std::size_t n : candidates_) {
     min_count = std::min(min_count, node_count_[n]);
   }
-  std::size_t pick = usable.front();
+  // Each input's replicas, predicted home and planned row are looked up
+  // once here; the score below reads only that table.
+  resolve_inputs(task);
+  std::size_t pick = candidates_.front();
   double best = std::numeric_limits<double>::infinity();
-  for (const std::size_t n : usable) {
+  for (const std::size_t n : candidates_) {
     if (node_count_[n] > min_count + kBalanceSlack) {
       continue;
     }
-    const double score = transfer_cost_s(task, n) + est_exec_on(task, n) +
-                         node_load_s_[n];
+    const double score = transfer_cost_s(n) + est_[n] + node_load_s_[n];
     // Strict less-than: ties break toward the lowest node id, keeping
     // placement deterministic across runs and thread counts.
     if (score < best) {
@@ -258,28 +297,42 @@ std::size_t ClusterScheduler::choose_node(const core::Task& task) {
       pick = n;
     }
   }
+  est = est_[pick];
   return pick;
 }
 
 std::size_t ClusterScheduler::place(const core::Task& task) {
-  const std::size_t node = choose_node(task);
-  const double est = est_exec_on(task, node);
+  double est = 0.0;
+  const std::size_t node = choose_node(task, est);
   node_load_s_[node] += est;
   ++node_count_[node];
+  if (task.id() >= placements_.size()) {
+    placements_.resize(task.id() + 1);
+  }
   placements_[task.id()] = Placement{node, est};
   for (const data::Access& access : task.accesses()) {
+    if (access.data >= predicted_home_.size()) {
+      predicted_home_.resize(access.data + 1, kNoPlacement);
+      planned_replica_.resize(predicted_home_.size() * words_per_datum_, 0);
+    }
     if (data::is_write(access.mode) || data::is_redux(access.mode)) {
       predicted_home_[access.data] = node;
     }
     // Reads and writes alike leave (or create) a replica here; record
     // it so later consumers score this node as transfer-free.
-    std::vector<bool>& mask = planned_replica_[access.data];
-    if (mask.empty()) {
-      mask.assign(cluster_->node_count(), false);
-    }
-    mask[node] = true;
+    planned_replica_[access.data * words_per_datum_ + node / 64] |=
+        std::uint64_t{1} << (node % 64);
   }
   return node;
+}
+
+const ClusterScheduler::Placement* ClusterScheduler::find_placement(
+    core::TaskId task) const {
+  if (task >= placements_.size() ||
+      placements_[task].node == kNoPlacement) {
+    return nullptr;
+  }
+  return &placements_[task];
 }
 
 void ClusterScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
@@ -297,9 +350,8 @@ void ClusterScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
   // deterministic) and hand each inner exactly its node's share.
   std::vector<std::vector<core::Task*>> per_node(inners_.size());
   for (core::Task* task : all_tasks) {
-    const auto it = placements_.find(task->id());
-    const std::size_t node =
-        it != placements_.end() ? it->second.node : place(*task);
+    const Placement* placed = find_placement(task->id());
+    const std::size_t node = placed != nullptr ? placed->node : place(*task);
     per_node[node].push_back(task);
   }
   for (std::size_t n = 0; n < inners_.size(); ++n) {
@@ -309,19 +361,18 @@ void ClusterScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
 
 void ClusterScheduler::on_task_ready(core::Task& task) {
   std::size_t node;
-  const auto it = placements_.find(task.id());
-  if (it == placements_.end()) {
+  const Placement* placed = find_placement(task.id());
+  if (placed == nullptr) {
     node = place(task);
   } else {
-    node = it->second.node;
+    node = placed->node;
     if (!node_usable(node)) {
       // The pinned node died (whole-node fault): release its load
       // charge and re-place among the survivors.
-      node_load_s_[node] = std::max(0.0, node_load_s_[node] - it->second.est_s);
+      node_load_s_[node] = std::max(0.0, node_load_s_[node] - placed->est_s);
       if (node_count_[node] > 0) {
         --node_count_[node];
       }
-      placements_.erase(it);
       node = place(task);
     }
   }
@@ -346,13 +397,13 @@ bool ClusterScheduler::has_retained_work() const noexcept {
 }
 
 void ClusterScheduler::on_task_complete(const core::Task& task) {
-  const auto it = placements_.find(task.id());
-  if (it == placements_.end()) {
+  const Placement* placed = find_placement(task.id());
+  if (placed == nullptr) {
     return;
   }
-  node_load_s_[it->second.node] =
-      std::max(0.0, node_load_s_[it->second.node] - it->second.est_s);
-  inners_[it->second.node]->on_task_complete(task);
+  node_load_s_[placed->node] =
+      std::max(0.0, node_load_s_[placed->node] - placed->est_s);
+  inners_[placed->node]->on_task_complete(task);
 }
 
 void ClusterScheduler::on_task_failed(const core::Task& task,
@@ -363,8 +414,8 @@ void ClusterScheduler::on_task_failed(const core::Task& task,
 }
 
 std::size_t ClusterScheduler::placement_of(core::TaskId task) const {
-  const auto it = placements_.find(task);
-  return it != placements_.end() ? it->second.node : kNoPlacement;
+  const Placement* placed = find_placement(task);
+  return placed != nullptr ? placed->node : kNoPlacement;
 }
 
 std::unique_ptr<core::Scheduler> make_cluster_scheduler(

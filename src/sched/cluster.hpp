@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -63,15 +62,30 @@ class ClusterScheduler final : public core::Scheduler {
  private:
   class NodeContext;
   struct Placement {
-    std::size_t node = 0;
+    std::size_t node = kNoPlacement;
     double est_s = 0.0;  ///< exec estimate charged to node_load_s_
+  };
+
+  /// One read or redux input of the task being placed, resolved once
+  /// per task: every candidate node is scored from these facts.
+  struct Input {
+    std::uint64_t bytes = 0;
+    /// [first, last) of replica_nodes_: the cluster nodes holding a
+    /// valid replica, ascending.
+    std::size_t first = 0;
+    std::size_t last = 0;
+    std::size_t predicted = kNoPlacement;     ///< predicted home
+    const std::uint64_t* planned = nullptr;   ///< planned-replica row
   };
 
   bool node_usable(std::size_t n) const;
   double est_exec_on(const core::Task& task, std::size_t n) const;
-  double transfer_cost_s(const core::Task& task, std::size_t n) const;
-  std::size_t choose_node(const core::Task& task);
+  void resolve_inputs(const core::Task& task);
+  double transfer_cost_s(std::size_t n) const;
+  /// Picks the node and returns its exec estimate through `est`.
+  std::size_t choose_node(const core::Task& task, double& est);
   std::size_t place(const core::Task& task);
+  const Placement* find_placement(core::TaskId task) const;
 
   const hw::Cluster* cluster_;
   std::string inner_name_;
@@ -83,17 +97,21 @@ class ClusterScheduler final : public core::Scheduler {
   /// the attached context exposes no coherence() (locality then degrades
   /// to predicted producer homes only).
   std::unique_ptr<data::DistributedDirectory> directory_;
-  std::unordered_map<core::TaskId, Placement> placements_;
-  /// Where each datum's next value will materialize, updated as writers
-  /// are placed — lets consumers chase producers BEFORE anything runs.
-  std::unordered_map<data::DataId, std::size_t> predicted_home_;
+  /// Indexed by TaskId; node == kNoPlacement for tasks not placed.
+  std::vector<Placement> placements_;
+  /// Indexed by DataId: where each datum's next value will materialize,
+  /// updated as writers are placed — lets consumers chase producers
+  /// BEFORE anything runs (kNoPlacement = unknown).
+  std::vector<std::size_t> predicted_home_;
   /// Nodes a datum is already bound to reach (producer placed there, or
-  /// an earlier consumer will fetch it there). MSI replicates on read,
-  /// so once one local consumer pays the fabric hop every later one
-  /// rides the replica — without this, locality scoring piles every
-  /// consumer of a hot datum onto its producer's node while blind
-  /// round-robin gets the amortization for free and wins at scale.
-  std::unordered_map<data::DataId, std::vector<bool>> planned_replica_;
+  /// an earlier consumer will fetch it there), as a bitset of
+  /// words_per_datum_ words per DataId. MSI replicates on read, so once
+  /// one local consumer pays the fabric hop every later one rides the
+  /// replica — without this, locality scoring piles every consumer of a
+  /// hot datum onto its producer's node while blind round-robin gets the
+  /// amortization for free and wins at scale.
+  std::vector<std::uint64_t> planned_replica_;
+  std::size_t words_per_datum_ = 0;
   /// Max placed-count spread the locality score may open up between
   /// nodes. Within the cap, data affinity decides; beyond it, the
   /// emptier nodes win regardless — flop estimates underprice real
@@ -106,6 +124,11 @@ class ClusterScheduler final : public core::Scheduler {
   std::vector<double> node_load_s_;  ///< outstanding placed exec seconds
   std::vector<std::uint32_t> node_count_;  ///< tasks placed per node
   std::size_t next_node_ = 0;        ///< round-robin cursor
+  // Per-task scratch, kept so placement allocates nothing per task.
+  std::vector<std::size_t> candidates_;
+  std::vector<double> est_;  ///< per node; valid for candidates_ only
+  std::vector<Input> inputs_;
+  std::vector<std::size_t> replica_nodes_;
 };
 
 /// Factory used by tools: placement "locality" | "blind".

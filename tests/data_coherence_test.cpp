@@ -144,32 +144,24 @@ TEST(Coherence, DistributedViewGroupsMemoryNodes) {
   const DataId a = f.registry.register_data("A", 100, 0);
   const DataId b = f.registry.register_data("B", 30, 2);
   CoherenceDirectory dir(f.platform, f.registry);
-  const DistributedDirectory view(dir, f.registry, {0, 0, 1});
-  EXPECT_EQ(view.cluster_node_count(), 2u);
-  EXPECT_EQ(view.cluster_node_of(1), 0u);
-  EXPECT_EQ(view.cluster_node_of(2), 1u);
-  EXPECT_THROW(view.cluster_node_of(3), util::InternalError);
-  EXPECT_TRUE(view.node_has_replica(a, 0));
-  EXPECT_FALSE(view.node_has_replica(a, 1));
-  EXPECT_THROW(view.node_has_replica(a, 2), util::InternalError);
-  EXPECT_EQ(view.owner_node(a), DistributedDirectory::kNoOwner);
-
-  const Access reads[] = {{a, AccessMode::Read}, {b, AccessMode::Redux},
-                          {a, AccessMode::Write}};
-  EXPECT_EQ(view.resident_input_bytes(reads, 3, 0), 100u);
-  EXPECT_EQ(view.missing_input_bytes(reads, 3, 0), 30u);
-  EXPECT_EQ(view.resident_input_bytes(reads, 3, 1), 30u);
-  EXPECT_EQ(view.missing_input_bytes(reads, 3, 1), 100u);
+  const DistributedDirectory view(dir, {0, 0, 1});
+  const auto replicas = [&view](DataId data) {
+    std::vector<std::size_t> nodes = {7};  // appended to, never cleared
+    view.append_replica_nodes(data, nodes);
+    nodes.erase(nodes.begin());
+    return nodes;
+  };
+  EXPECT_EQ(replicas(a), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(replicas(b), (std::vector<std::size_t>{1}));
 
   dir.mark_shared(a, 1);  // a second replica inside cluster node 0
-  EXPECT_EQ(view.resident_bytes_on(0), 200u);
-  EXPECT_EQ(view.replica_nodes(a), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(replicas(a), (std::vector<std::size_t>{0}));
+  dir.mark_shared(a, 2);
+  EXPECT_EQ(replicas(a), (std::vector<std::size_t>{0, 1}));
   dir.mark_modified(a, 2, [](hw::MemoryNodeId) {});
-  EXPECT_EQ(view.owner_node(a), 1u);
-  EXPECT_EQ(view.replica_nodes(a), (std::vector<std::size_t>{1}));
-  EXPECT_EQ(view.resident_bytes_on(0), 0u);
-  EXPECT_EQ(view.resident_bytes_on(1), 130u);
-  EXPECT_THROW(view.resident_bytes_on(2), util::InternalError);
+  EXPECT_EQ(replicas(a), (std::vector<std::size_t>{1}));
+  dir.mark_invalid(a, 2);
+  EXPECT_TRUE(replicas(a).empty());
 }
 
 }  // namespace

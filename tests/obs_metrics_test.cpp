@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/runtime.hpp"
+#include "helpers.hpp"
 #include "hw/presets.hpp"
+#include "obs/device_series.hpp"
 #include "obs/recorder.hpp"
+#include "sched/registry.hpp"
+#include "util/strings.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -122,6 +127,75 @@ TEST(Metrics, CsvHasHeaderAndOneRowPerEntry) {
             std::string::npos);
   EXPECT_NE(csv.find("tasks"), std::string::npos);
   EXPECT_NE(csv.find("makespan_s"), std::string::npos);
+}
+
+TEST(Metrics, ReferencesStayValidAsTheRegistryGrows) {
+  MetricsRegistry registry;
+  Counter& tasks = registry.counter("tasks", {{"device", "cpu0"}});
+  TimeWeighted& depth = registry.time_weighted("depth");
+  tasks.inc();
+  // Keys sorting before, between and after the two held entries.
+  for (int i = 0; i < 10000; ++i) {
+    registry.counter(util::format("%c%05d", "aet"[i % 3], i)).inc();
+  }
+  ASSERT_EQ(registry.size(), 10002u);
+  tasks.inc(2.0);
+  depth.update(0.0, 4.0);
+  EXPECT_EQ(&registry.counter("tasks", {{"device", "cpu0"}}), &tasks);
+  EXPECT_DOUBLE_EQ(registry.counter_value("tasks", {{"device", "cpu0"}}), 3.0);
+  const std::string csv = registry.to_csv();
+  EXPECT_NE(csv.find("\ntasks,device=cpu0,counter,3,"), std::string::npos);
+  EXPECT_NE(csv.find("\ndepth,,time_weighted,4,4,4,4,1"), std::string::npos);
+}
+
+TEST(DeviceSeries, MatchesLookupsByName) {
+  // The handles update the same entries the (name, labels) lookups
+  // address, so the snapshots are byte-identical.
+  const hw::Platform p = hw::make_workstation();
+  MetricsRegistry by_handle;
+  DeviceSeries series(by_handle, p, "dmda");
+  series.task_queued(1, 0.0, 1);
+  series.task_queued(1, 0.5, 2);
+  series.queue_changed(1, 1.0, 1);
+  series.retry(1);
+  series.retry(1);
+  MetricsRegistry by_name;
+  const Labels device = {{"device", p.device(1).name()}};
+  const Labels scheduled = {{"device", p.device(1).name()},
+                            {"scheduler", "dmda"}};
+  by_name.counter("tasks_scheduled", scheduled).inc();
+  by_name.time_weighted("queue_depth", device).update(0.0, 1.0);
+  by_name.counter("tasks_scheduled", scheduled).inc();
+  by_name.time_weighted("queue_depth", device).update(0.5, 2.0);
+  by_name.time_weighted("queue_depth", device).update(1.0, 1.0);
+  by_name.counter("retry_attempts", device).inc();
+  by_name.counter("retry_attempts", device).inc();
+  EXPECT_EQ(by_handle.to_csv(), by_name.to_csv());
+  EXPECT_EQ(by_handle.to_json_string(), by_name.to_json_string());
+}
+
+TEST(DeviceSeries, DeviceWithoutTasksRegistersNoSeries) {
+  // CPU-only tasks on the workstation: the GPU never receives one.
+  const hw::Platform p = hw::make_workstation();
+  core::RuntimeOptions options;
+  options.metrics = true;
+  core::Runtime rt(p, sched::make_scheduler("dmda"), options);
+  for (int i = 0; i < 6; ++i) {
+    rt.submit(util::format("t%d", i), hetflow::testing::cpu_only_codelet(),
+              1e9, {});
+  }
+  rt.wait_all();
+  const std::string csv = rt.recorder()->metrics().to_csv();
+  for (const hw::Device& device : p.devices()) {
+    const std::string labels = "device=" + device.name();
+    const bool gpu = device.type() == hw::DeviceType::Gpu;
+    for (const char* name : {"tasks_scheduled", "queue_depth"}) {
+      EXPECT_EQ(csv.find(std::string("\n") + name + "," + labels) ==
+                    std::string::npos,
+                gpu)
+          << name << " " << device.name();
+    }
+  }
 }
 
 TEST(Recorder, DecisionsMirrorAsInstantEvents) {
