@@ -126,7 +126,7 @@ class ClusterScheduler final : public core::Scheduler {
   std::size_t next_node_ = 0;        ///< round-robin cursor
   // Per-task scratch, kept so placement allocates nothing per task.
   std::vector<std::size_t> candidates_;
-  std::vector<double> est_;  ///< per node; valid for candidates_ only
+  std::vector<double> est_;  ///< per node, for the task being placed
   std::vector<Input> inputs_;
   std::vector<std::size_t> replica_nodes_;
 };

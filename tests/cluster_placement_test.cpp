@@ -236,9 +236,9 @@ TEST(ClusterPlacement, RoundRobinMatchesReference) {
 }
 
 TEST(ClusterPlacement, NodeFaultWithRecoveryMatchesReference) {
-  // Node 1 fails at t = 2 s, after some of its producers completed: they
-  // are resurrected, and consumers of their lost outputs are placed
-  // while the regeneration is pending, which predicted homes score.
+  // Node 1 fails at t = 2 s and rejoins 0.3 s later: tasks pinned to it
+  // are re-placed among the survivors, and completed producers whose
+  // outputs died with it are resurrected and placed again.
   for (const char* inner : {"dmda", "mct"}) {
     Scenario scenario;
     scenario.nodes = 6;
