@@ -360,5 +360,40 @@ TEST(ClusterPlacement, NodeWithoutCapableDeviceIsNeverCandidate) {
   }
 }
 
+TEST(ClusterPlacement, QuarantineFallbackAdmitsOnlyCapableNodes) {
+  // Both nodes are down when the GPU-only tasks are released, so the
+  // all-quarantined fallback places them: it must still skip node 0,
+  // which has no GPU.
+  hw::ClusterBuilder builder("mixed");
+  builder.add_node(hw::make_cpu_only(2));
+  builder.add_node(hw::make_hpc_node(2, 1));
+  builder.connect_all(1.25, 50e-6);
+  const hw::Cluster cluster = builder.build();
+  const core::CodeletPtr gpu =
+      core::Codelet::make("gpu-only", {{hw::DeviceType::Gpu, 0.8}});
+  for (const char* placement : {"locality", "blind"}) {
+    SCOPED_TRACE(placement);
+    auto owned = sched::make_cluster_scheduler(cluster, "dmda", placement);
+    const auto& scheduler = dynamic_cast<const sched::ClusterScheduler&>(*owned);
+    core::RuntimeOptions options;
+    for (std::size_t node = 0; node < 2; ++node) {
+      options.node_faults.push_back(whole_node_fault(cluster, node, 0.1, 1.0));
+    }
+    core::Runtime rt(cluster.platform(), std::move(owned), options);
+    std::vector<core::TaskId> ids;
+    for (int i = 0; i < 4; ++i) {
+      ids.push_back(rt.submit(util::format("g%d", i), gpu, 2e9, {}));
+      rt.task(ids.back()).set_release_time(0.5);
+    }
+    rt.wait_all();
+    EXPECT_EQ(rt.stats().node_failures, 2u);
+    for (const core::TaskId id : ids) {
+      EXPECT_EQ(rt.task(id).state(), core::TaskState::Completed);
+      EXPECT_EQ(scheduler.placement_of(id), 1u);
+      EXPECT_GE(rt.task(id).times().started, 1.1);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hetflow
