@@ -57,6 +57,11 @@ struct Event {
 
 class Recorder {
  public:
+  Recorder() = default;
+  // Not copyable or movable: devices() holds pointers into metrics().
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
+
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
 

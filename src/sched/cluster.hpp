@@ -74,8 +74,8 @@ class ClusterScheduler final : public core::Scheduler {
     /// valid replica, ascending.
     std::size_t first = 0;
     std::size_t last = 0;
-    std::size_t predicted = kNoPlacement;     ///< predicted home
-    const std::uint64_t* planned = nullptr;   ///< planned-replica row
+    std::size_t predicted = kNoPlacement;    ///< predicted home
+    const std::uint64_t* planned = nullptr;  ///< planned-replica row
   };
 
   bool node_usable(std::size_t n) const;
