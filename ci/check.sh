@@ -32,8 +32,10 @@
 #      >= 90% line coverage on src/obs/ under the obs suites (the
 #      exporters' at-scale parse/dump fixed-point test included) and
 #      the JsonWriter suite, >= 95% on src/sched/ under the scheduler
-#      suites, and >= 90% on src/data/ under the data suites (the
-#      eviction differential included), prefetch and cluster failure
+#      suites, >= 90% on src/data/ under the data suites (the
+#      eviction differential included), prefetch and cluster failure,
+#      and >= 95% on src/util/json*.cpp (the number formatter, the
+#      writer and the parser) under the JsonWriter and Json suites
 #      (gcovr when installed, plain gcov otherwise)
 #  11. lint: clang-tidy over files changed vs the merge base (all
 #      first-party files when git history is unavailable); fails on any
@@ -161,7 +163,7 @@ campaign_args=(--campaign surrogate --surface branin --evals 24 --batch 6)
 cmp <(grep best build-ci/campaign_straight.txt) \
     <(grep best build-ci/campaign_resumed.txt)
 
-echo "=== [10/12] line-coverage floors (src/obs, src/sched, src/data) ==="
+echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json) ==="
 # The obs, sched and data layers are what the golden and differential
 # suites pin down; unexecuted code there is unpinned code. Each floor
 # counts only the runs of its own test binaries (counters are reset in
@@ -174,28 +176,39 @@ echo "=== [10/12] line-coverage floors (src/obs, src/sched, src/data) ==="
 #              cost-memo oracle;
 #   src/data/  >= 90% under the data_* suites (the eviction
 #              differential and its golden included), prefetch and
-#              cluster failure (the only suite reaching distributed.cpp).
+#              cluster failure (the only suite reaching distributed.cpp);
+#   src/util/json*.cpp >= 95% under the JsonWriter suite (the
+#              formatter's differential test against printf included)
+#              and the Json suite (the parser json.cpp also holds).
 cmake -B build-cov -S . -DHETFLOW_COVERAGE=ON
 
-# coverage_floor <library target> <source dir> <floor %> <test>...
+# coverage_floor <library target> <sources> <floor %> <test>...
+# <sources> is a directory ("src/obs/") or a file glob in one directory
+# ("src/util/json*.cpp": json.cpp and json_writer.cpp, not headers).
 coverage_floor() {
-  local library="$1" dir="$2" floor="$3"
+  local library="$1" sources="$2" floor="$3"
   shift 3
   cmake --build build-cov -j "$jobs" --target "$@"
   find build-cov -name '*.gcda' -delete
   ctest --test-dir build-cov --output-on-failure -j "$jobs" \
         -R "^($(IFS='|'; echo "$*"))\$"
+  # The glob as a regular expression over source paths.
+  local regex
+  regex="$(printf '%s' "$sources" | sed 's/\./\\./g; s/\*/[^\/]*/g')"
   if command -v gcovr > /dev/null; then
-    gcovr --root . --filter "$dir/" --fail-under-line "$floor" \
+    gcovr --root . --filter "$regex" --fail-under-line "$floor" \
           --print-summary build-cov
     return
   fi
-  # gcov fallback: aggregate "Lines executed" over the library's objects.
-  local obj_dir="build-cov/src/CMakeFiles/$library.dir/${dir#src/}"
+  # gcov fallback: aggregate "Lines executed" over the library's objects
+  # for the matching sources.
+  local src_dir="${sources%/*}" file_glob="${sources##*/}"
+  local obj_dir="build-cov/src/CMakeFiles/$library.dir/${src_dir#src/}"
+  # ${file_glob} stays unquoted: the glob must expand.
   gcov --no-output --object-directory "$obj_dir" \
-       "$obj_dir"/*.gcda 2> /dev/null |
-  awk -v dir="$dir/" -v floor="$floor" '
-    /^File /      { keep = (index($0, dir) > 0) }
+       "$obj_dir"/${file_glob:-*}.gcda 2> /dev/null |
+  REGEX="$regex" awk -v dir="$sources" -v floor="$floor" '
+    /^File /      { keep = ($0 ~ ENVIRON["REGEX"]) }
     keep && /^Lines executed:/ {
       split($0, parts, /[:%]/)        # "Lines executed" | pct | " of N"
       pct = parts[2] + 0
@@ -212,17 +225,19 @@ coverage_floor() {
     }'
 }
 
-coverage_floor hf_obs src/obs 90 \
+coverage_floor hf_obs src/obs/ 90 \
     obs_metrics_test obs_golden_test obs_determinism_test obs_property_test \
     trace_test util_json_writer_test
-coverage_floor hf_sched src/sched 95 \
+coverage_floor hf_sched src/sched/ 95 \
     sched_policies_test sched_heft_test sched_cpop_test sched_peft_test \
     sched_property_test sched_golden_test sched_placement_test \
     cluster_determinism_test cluster_placement_test core_memo_test
-coverage_floor hf_data src/data 90 \
+coverage_floor hf_data src/data/ 90 \
     data_handle_test data_transfer_test data_coherence_test \
     data_manager_test data_eviction_test core_prefetch_test \
     cluster_failure_test
+coverage_floor hf_util 'src/util/json*.cpp' 95 \
+    util_json_writer_test util_json_test
 
 echo "=== [11/12] lint (changed files) ==="
 changed=()

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/error.hpp"
 #include "util/json_writer.hpp"
@@ -105,27 +106,135 @@ std::size_t Json::size() const {
   kind_error("container");
 }
 
+namespace {
+
+/// Two decimal digits per entry: "00", "01", ..., "99".
+constexpr char kDigitPairs[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/// Writes `value` < 10^8 as exactly eight digits.
+void write_8_digits(char* out, std::uint32_t value) {
+  for (int i = 6; i >= 0; i -= 2) {
+    std::memcpy(out + i, kDigitPairs + 2 * (value % 100), 2);
+    value /= 100;
+  }
+}
+
+constexpr std::uint64_t kTen8 = 100000000;
+constexpr std::uint64_t kTen16 = kTen8 * kTen8;
+constexpr std::uint64_t kTen17 = 10 * kTen16;
+
+/// m * 5^k * 2^(k + e), rounded half to even, for a shift -(k + e) in
+/// [1, 63]. The product is exact in 128 bits for m < 2^53 and k <= 21.
+std::uint64_t scaled_rounded(std::uint64_t m, int e, int k) {
+  static constexpr std::uint64_t kPow5[] = {
+      1,           5,            25,           125,           625,
+      3125,        15625,        78125,        390625,        1953125,
+      9765625,     48828125,     244140625,    1220703125,    6103515625,
+      30517578125, 152587890625, 762939453125, 3814697265625, 19073486328125,
+      95367431640625, 476837158203125};
+  const auto shift = static_cast<unsigned>(-(k + e));
+  const unsigned __int128 scaled =
+      static_cast<unsigned __int128>(m) * kPow5[k];
+  auto digits = static_cast<std::uint64_t>(scaled >> shift);
+  const std::uint64_t dropped =
+      static_cast<std::uint64_t>(scaled) & ((std::uint64_t{1} << shift) - 1);
+  const std::uint64_t half = std::uint64_t{1} << (shift - 1);
+  if (dropped > half || (dropped == half && (digits & 1) != 0)) {
+    ++digits;
+  }
+  return digits;
+}
+
+/// printf's %.17g of a finite, non-integral `value` with
+/// 1e-4 <= |value| < 1e15, written to `out` (36 bytes of room); returns
+/// the end. In that range %.17g prints fixed notation (its exponent
+/// lies in [-4, 16]), so the text is the 17 significant digits of
+/// |value| rounded half to even, trailing zeros dropped, with the point
+/// placed by the decimal exponent E. With |value| = m * 2^e and
+/// k = 16 - E, those digits are m * 5^k * 2^(k + e) rounded, computed
+/// exactly by scaled_rounded (here k lies in [1, 21] and the shift in
+/// [1, 46]).
+char* format_fixed17(char* out, double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  // Every value in range is normal: |value| = m * 2^e, 2^52 <= m < 2^53.
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int e = biased - 1075;
+  // With 2^b <= |value| < 2^(b+1), E is floor(b * log10 2) or one more
+  // (78913 / 2^18 is log10 2 to enough bits for |b| < 1650). The guess
+  // is too low while the rounded digits reach 10^17, which also covers
+  // a value that rounds up to the next power of ten.
+  const int b = biased - 1023;
+  int exp10 = (b * 78913) >> 18;
+  std::uint64_t digits = scaled_rounded(m, e, 16 - exp10);
+  while (digits >= kTen17) {
+    ++exp10;
+    digits = scaled_rounded(m, e, 16 - exp10);
+  }
+
+  // The 17 digits, then room for the fraction copy below to over-read.
+  char text[32] = {};
+  text[0] = static_cast<char>('0' + digits / kTen16);
+  write_8_digits(text + 1, static_cast<std::uint32_t>(digits / kTen8 % kTen8));
+  write_8_digits(text + 9, static_cast<std::uint32_t>(digits % kTen8));
+  int last = 16;  // the last digit %g keeps: trailing zeros are dropped
+  while (text[last] == '0') {
+    --last;
+  }
+
+  // Constant-size copies only (17 digits, then the 16 that can follow
+  // the point); `out` has room for what they write past the end.
+  if (value < 0) {
+    *out++ = '-';
+  }
+  if (exp10 >= 0) {
+    const int whole = exp10 + 1;
+    std::memcpy(out, text, 17);
+    std::memcpy(out + whole + 1, text + whole, 16);
+    out[whole] = '.';
+    return out + (last >= whole ? last + 2 : whole);
+  }
+  std::memcpy(out, "0.000", 5);
+  out += 1 - exp10;
+  std::memcpy(out, text, 17);
+  return out + last + 1;
+}
+
+}  // namespace
+
 void append_json_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
     // JSON has no Inf/NaN; serialize as null (standard-compatible).
     out += "null";
     return;
   }
-  char buf[32];
-  std::to_chars_result result{};
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
+  char buf[48];
+  char* end = buf;
+  const double magnitude = std::fabs(value);
+  if (value == std::floor(value) && magnitude < 1e15) {
     if (value == 0.0 && std::signbit(value)) {
       out += "-0";  // %.0f keeps the sign of negative zero
       return;
     }
-    result = std::to_chars(buf, buf + sizeof buf,
-                           static_cast<std::int64_t>(value));
+    end = std::to_chars(buf, buf + sizeof buf,
+                        static_cast<std::int64_t>(value))
+              .ptr;
+  } else if (magnitude >= 1e-4 && magnitude < 1e15) {
+    end = format_fixed17(buf, value);
   } else {
     // The standard defines general + precision as printf's %.17g.
-    result = std::to_chars(buf, buf + sizeof buf, value,
-                           std::chars_format::general, 17);
+    end = std::to_chars(buf, buf + sizeof buf, value,
+                        std::chars_format::general, 17)
+              .ptr;
   }
-  out.append(buf, result.ptr);
+  out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
 void append_json_string(std::string& out, std::string_view value) {

@@ -118,6 +118,28 @@ TEST(Metrics, JsonSnapshotShape) {
   EXPECT_EQ(entries[1].at("labels").at("device").as_string(), "cpu0");
 }
 
+TEST(Metrics, LabelsGivenOutOfOrderAreWrittenSorted) {
+  // Label names reach JsonWriter through its run-time-key overload;
+  // the snapshot sorts them (a repeated name keeps its last value), so
+  // an out-of-order, repeated and non-ASCII label set writes without
+  // tripping the key-order check, in the DOM's order.
+  MetricsRegistry registry;
+  registry
+      .counter("bytes", {{"zone", "1"},
+                         {"\xc3\xa9t\"at", "x"},
+                         {"dst", "vram"},
+                         {"zone", "2"},
+                         {"ab", "y"}})
+      .inc(64.0);
+  const std::string text = registry.to_json_string();
+  const util::Json doc = util::Json::parse(text);
+  EXPECT_EQ(doc.dump_pretty() + "\n", text);
+  const util::Json& labels = doc.at("metrics").as_array().at(0).at("labels");
+  EXPECT_EQ(labels.dump(),
+            "{\"ab\":\"y\",\"dst\":\"vram\",\"zone\":\"2\","
+            "\"\xc3\xa9t\\\"at\":\"x\"}");
+}
+
 TEST(Metrics, CsvHasHeaderAndOneRowPerEntry) {
   MetricsRegistry registry;
   registry.counter("tasks").inc();

@@ -105,6 +105,49 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"bad\\u12g4\""), ParseError);
 }
 
+TEST(Json, ParseLiteralsAndEmptyContainers) {
+  EXPECT_EQ(Json::parse("false"), Json(false));
+  EXPECT_EQ(Json::parse("{}"), Json::object());
+  EXPECT_EQ(Json::parse(" [ ] "), Json::array());
+  const Json doc = Json::parse(R"({"a": {}, "b": [[], {}]})");
+  EXPECT_EQ(doc.at("a"), Json::object());
+  EXPECT_EQ(doc.at("b").size(), 2u);
+}
+
+TEST(Json, ParseUnicodeEscapesAsUtf8) {
+  EXPECT_EQ(Json::parse(R"("\u0041")").as_string(), "A");
+  EXPECT_EQ(Json::parse(R"("\u00e9")").as_string(), "\xc3\xa9");
+  EXPECT_EQ(Json::parse(R"("\u00E9")").as_string(), "\xc3\xa9");
+  EXPECT_EQ(Json::parse(R"("\u20AC")").as_string(), "\xe2\x82\xac");
+  EXPECT_EQ(Json::parse(R"("\b\f\r\t\"")").as_string(), "\b\f\r\t\"");
+}
+
+TEST(Json, ParseRejectsEachMalformedForm) {
+  for (const char* text :
+       {"fals", "nul", "{\"a\":1 \"b\":2}", "[1 2]", "-", "1e", "1.2.3",
+        "\"tab\there\"", "\"nl\nhere\""}) {
+    EXPECT_THROW(Json::parse(text), ParseError) << text;
+  }
+}
+
+TEST(Json, EveryKindMismatchThrows) {
+  Json number(1);
+  Json array = Json::array();
+  const Json& const_array = array;
+  EXPECT_THROW(number.as_bool(), InternalError);
+  EXPECT_THROW(number.as_array(), InternalError);
+  EXPECT_THROW(const_array.as_object(), InternalError);
+  EXPECT_THROW(array.as_object(), InternalError);
+}
+
+TEST(Json, PushBackAutoVivifiesArray) {
+  Json doc;  // null
+  doc.push_back(1);
+  doc.push_back("two");
+  EXPECT_TRUE(doc.is_array());
+  EXPECT_EQ(doc.dump(), "[1,\"two\"]");
+}
+
 TEST(Json, ErrorsIncludeByteOffset) {
   try {
     Json::parse("[1, x]");

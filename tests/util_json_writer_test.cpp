@@ -14,6 +14,8 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -25,17 +27,21 @@ namespace {
 
 /// The printf formatting Json used before the shared formatter; kept
 /// here only as the reference the formatter is checked against.
-std::string printf_reference(double d) {
+/// Writes into `buf` (64 bytes) and returns the length.
+std::size_t printf_reference(double d, char* buf) {
   if (!std::isfinite(d)) {
-    return "null";
+    std::strcpy(buf, "null");
+    return 4;
   }
-  char buf[64];
   if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", d);
+    return static_cast<std::size_t>(std::snprintf(buf, 64, "%.0f", d));
   }
-  return buf;
+  return static_cast<std::size_t>(std::snprintf(buf, 64, "%.17g", d));
+}
+
+std::string printf_reference(double d) {
+  char buf[64];
+  return std::string(buf, printf_reference(d, buf));
 }
 
 std::string formatted(double d) {
@@ -98,6 +104,112 @@ TEST(JsonNumber, MatchesThePrintfReferenceOnRandomBitPatterns) {
     const double integral = std::trunc(std::fmod(d, 1e15));
     ASSERT_EQ(formatted(integral), printf_reference(integral)) << i;
   }
+}
+
+/// Counts the values on which append_json_number and the printf
+/// reference disagree, keeping the first few for the failure message.
+class Differential {
+ public:
+  void check(double d) {
+    ++checked_;
+    out_.clear();
+    append_json_number(out_, d);
+    char want[64];
+    const std::string_view reference(want, printf_reference(d, want));
+    if (out_ != reference && ++mismatches_ <= 5) {
+      char exact[64];
+      std::snprintf(exact, sizeof exact, "%a", d);
+      report_ += std::string(exact) + ": got " + out_ + ", want ";
+      report_ += reference;
+      report_ += '\n';
+    }
+  }
+  /// `d` and `-d`.
+  void check_both_signs(double d) {
+    check(d);
+    check(-d);
+  }
+
+  void merge(const Differential& other) {
+    checked_ += other.checked_;
+    mismatches_ += other.mismatches_;
+    report_ += other.report_;
+  }
+
+  std::size_t checked() const { return checked_; }
+  std::size_t mismatches() const { return mismatches_; }
+  const std::string& report() const { return report_; }
+
+ private:
+  std::string out_;
+  std::string report_;
+  std::size_t checked_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
+TEST(JsonNumber, MatchesThePrintfReferenceAcrossTheFixedNotationRange) {
+  // Non-integral 1e-4 <= |d| < 1e15 take the integer-arithmetic path;
+  // the values around it take std::to_chars. Random bit patterns land
+  // in that range only ~3 % of the time, so aim at it.
+  Differential diff;
+  // Log-uniform over [1e-5, 1e16), both signs. printf's %.17g takes
+  // about 0.8 us a value, so this sweep is split over four threads.
+  constexpr int kThreads = 4;
+  std::vector<Differential> shards(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shard = shards[t], t] {
+      Rng rng(17 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 480000 / kThreads; ++i) {
+        shard.check_both_signs(std::pow(10.0, rng.uniform(-5.0, 16.0)));
+      }
+    });
+  }
+  // +-64 ulps around every power of ten from 1e-5 to 1e16, where the
+  // decimal exponent changes (and 1e-4 / 1e15 bound the fast path).
+  for (int p = -5; p <= 16; ++p) {
+    const double power = std::pow(10.0, p);
+    double below = power;
+    double above = power;
+    diff.check_both_signs(power);
+    for (int ulp = 0; ulp < 64; ++ulp) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, DBL_MAX);
+      diff.check_both_signs(below);
+      diff.check_both_signs(above);
+    }
+  }
+  // Exact ties at the 17th significant digit: in the decade
+  // [10^E, 10^(E+1)) an odd multiple of 2^-(17-E) has 18 significant
+  // digits, the last a 5, so only half-to-even rounding gets it right.
+  for (int exp10 = -4; exp10 <= 14; ++exp10) {
+    const double unit = std::ldexp(1.0, exp10 - 17);
+    const double lo = std::pow(10.0, exp10) / unit;
+    const double hi = std::pow(10.0, exp10 + 1) / unit;
+    Rng rng(static_cast<std::uint64_t>(exp10 + 100));
+    for (int i = 0; i < 2000; ++i) {
+      const double odd = 2.0 * std::floor(rng.uniform(lo, hi) / 2.0) + 1.0;
+      diff.check_both_signs(odd * unit);
+    }
+  }
+  // The fast path's binary-exponent ends and their neighbours.
+  for (double edge : {std::ldexp(1.0, -14), std::ldexp(1.0, 50)}) {
+    diff.check_both_signs(edge);
+    double below = edge;
+    double above = edge;
+    for (int ulp = 0; ulp < 64; ++ulp) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, DBL_MAX);
+      diff.check_both_signs(below);
+      diff.check_both_signs(above);
+    }
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    threads[t].join();
+    diff.merge(shards[t]);
+  }
+  EXPECT_GE(diff.checked(), 1000000u);
+  EXPECT_EQ(diff.mismatches(), 0u) << diff.report();
 }
 
 TEST(JsonNumber, KnownSpellings) {
@@ -289,6 +401,40 @@ TEST(JsonWriterKeys, OrderIsStdMapOrder) {
   dom["z"] = 2;
   dom["\xc3\xa9"] = 3;
   EXPECT_EQ(w.take(), dom.dump());
+}
+
+TEST(JsonWriterKeys, RunTimeKeysKeepTheOrderCheck) {
+  // std::string and std::string_view keys take the escaping overload;
+  // the order check holds within it and across the literal path.
+  const std::string b = "b";
+  const std::string quoted = "q\"";
+  JsonWriter w(0);
+  w.begin_object().key(b).number(1);
+  EXPECT_THROW(w.key(std::string("a")), InternalError);
+  EXPECT_THROW(w.key(std::string_view(b)), InternalError);  // repeated
+  EXPECT_THROW(w.key("b"), InternalError);  // literal after run-time
+  w.key("m").number(2);
+  EXPECT_THROW(w.key(std::string_view("m")), InternalError);
+  w.key(quoted).number(3).key("r").number(4);
+  w.end_object();
+  EXPECT_EQ(w.take(), "{\"b\":1,\"m\":2,\"q\\\"\":3,\"r\":4}");
+}
+
+TEST(JsonWriterKeys, JsonObjectInsertedOutOfOrderDumps) {
+  // Json::dump writes its std::map keys through the run-time-key
+  // overload: keys inserted out of order (escapes, a prefix, UTF-8)
+  // come out sorted, pass the key-order check, and parse back to the
+  // same object.
+  Json dom = Json::object();
+  for (const char* key : {"z", "task", "\xc3\xa9", "t", "a\"b", "a\n"}) {
+    dom[key] = key;
+  }
+  const std::string compact = dom.dump();
+  EXPECT_EQ(compact,
+            "{\"a\\n\":\"a\\n\",\"a\\\"b\":\"a\\\"b\",\"t\":\"t\","
+            "\"task\":\"task\",\"z\":\"z\",\"\xc3\xa9\":\"\xc3\xa9\"}");
+  EXPECT_EQ(Json::parse(compact).dump(), compact);
+  EXPECT_EQ(Json::parse(dom.dump_pretty()).dump(), compact);
 }
 
 TEST(JsonWriterMisuse, Throws) {
