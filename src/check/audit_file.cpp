@@ -1,6 +1,8 @@
 #include "check/audit_file.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -65,14 +67,47 @@ void number_array(util::JsonWriter& out, const std::vector<T>& values) {
   out.end_array();
 }
 
+/// The one reader of an integer field: `json` must be a number that is
+/// integral, non-negative and representable in T (casting any other
+/// double to T is wrong or undefined). Throws ParseError naming `field`.
 template <typename T>
-std::vector<T> parse_number_array(const util::Json& json) {
+T parse_integer(const util::Json& json, const char* field) {
+  if (!json.is_number()) {
+    throw ParseError(util::format("audit field '%s' is not a number", field));
+  }
+  const double value = json.as_number();
+  // 2^digits is exact as a double and one past T's largest value.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= 0 && value < limit) || value != std::floor(value)) {
+    throw ParseError(util::format(
+        "audit field '%s' holds %.17g, not an integer in [0, 2^%d)", field,
+        value, std::numeric_limits<T>::digits));
+  }
+  return static_cast<T>(value);
+}
+
+template <typename T>
+std::vector<T> parse_number_array(const util::Json& json, const char* field) {
+  if (!json.is_array()) {
+    throw ParseError(util::format("audit field '%s' is not an array", field));
+  }
   std::vector<T> out;
   out.reserve(json.as_array().size());
   for (const util::Json& value : json.as_array()) {
-    out.push_back(static_cast<T>(value.as_number()));
+    out.push_back(parse_integer<T>(value, field));
   }
   return out;
+}
+
+/// Throws ParseError unless `array` has `expected` entries (`why`
+/// names where that count comes from).
+void require_entries(std::size_t entries, std::size_t expected,
+                     const char* array, const char* why) {
+  if (entries != expected) {
+    throw ParseError(
+        util::format("audit field '%s' has %zu entries, expected %zu (%s)",
+                     array, entries, expected, why));
+  }
 }
 
 }  // namespace
@@ -164,37 +199,43 @@ AuditRecord parse_audit_json(const std::string& text) {
   AuditRecord record;
   const util::Json& run = doc.at("run");
   record.run.device_count =
-      static_cast<std::size_t>(run.at("device_count").as_number());
+      parse_integer<std::size_t>(run.at("device_count"), "device_count");
   record.run.node_count =
-      static_cast<std::size_t>(run.at("node_count").as_number());
-  record.run.device_memory_node =
-      parse_number_array<std::uint32_t>(run.at("device_memory_node"));
+      parse_integer<std::size_t>(run.at("node_count"), "node_count");
+  record.run.device_memory_node = parse_number_array<std::uint32_t>(
+      run.at("device_memory_node"), "device_memory_node");
+  require_entries(record.run.device_memory_node.size(),
+                  record.run.device_count, "device_memory_node",
+                  "device_count");
   record.run.handle_bytes =
-      parse_number_array<std::uint64_t>(run.at("handle_bytes"));
+      parse_number_array<std::uint64_t>(run.at("handle_bytes"), "handle_bytes");
   record.run.handle_home =
-      parse_number_array<std::uint32_t>(run.at("handle_home"));
+      parse_number_array<std::uint32_t>(run.at("handle_home"), "handle_home");
+  require_entries(record.run.handle_home.size(), record.run.handle_count(),
+                  "handle_home", "one per handle_bytes entry");
   for (const util::Json& entry : run.at("tasks").as_array()) {
     TaskRecord task;
-    task.id = static_cast<std::uint64_t>(entry.at("id").as_number());
+    task.id = parse_integer<std::uint64_t>(entry.at("id"), "id");
     task.name = entry.at("name").as_string();
-    task.device = static_cast<std::uint32_t>(entry.at("device").as_number());
+    task.device = parse_integer<std::uint32_t>(entry.at("device"), "device");
     task.start = entry.at("start").as_number();
     task.end = entry.at("end").as_number();
     task.completed = entry.at("completed").as_bool();
     for (const util::Json& one : entry.at("accesses").as_array()) {
       task.accesses.push_back(
-          {static_cast<data::DataId>(one.at("data").as_number()),
+          {parse_integer<data::DataId>(one.at("data"), "data"),
            parse_mode(one.at("mode").as_string())});
     }
-    task.dependencies = parse_number_array<std::uint64_t>(entry.at("deps"));
+    task.dependencies =
+        parse_number_array<std::uint64_t>(entry.at("deps"), "deps");
     record.run.tasks.push_back(std::move(task));
   }
   record.run.names = std::make_shared<util::StringInterner>();
   for (const util::Json& entry : run.at("spans").as_array()) {
     trace::Span span;
-    span.task_id = static_cast<std::uint64_t>(entry.at("task").as_number());
+    span.task_id = parse_integer<std::uint64_t>(entry.at("task"), "task");
     span.name = record.run.names->intern_view(entry.at("name").as_string());
-    span.device = static_cast<hw::DeviceId>(entry.at("device").as_number());
+    span.device = parse_integer<hw::DeviceId>(entry.at("device"), "device");
     span.start = entry.at("start").as_number();
     span.end = entry.at("end").as_number();
     span.kind = parse_kind(entry.at("kind").as_string());
@@ -203,13 +244,21 @@ AuditRecord parse_audit_json(const std::string& text) {
 
   const util::Json& directory = doc.at("directory");
   record.directory.node_count =
-      static_cast<std::size_t>(directory.at("node_count").as_number());
-  record.directory.handle_bytes =
-      parse_number_array<std::uint64_t>(directory.at("handle_bytes"));
-  record.directory.capacity_bytes =
-      parse_number_array<std::uint64_t>(directory.at("capacity_bytes"));
+      parse_integer<std::size_t>(directory.at("node_count"), "node_count");
+  record.directory.handle_bytes = parse_number_array<std::uint64_t>(
+      directory.at("handle_bytes"), "handle_bytes");
+  require_entries(record.directory.handle_count(), record.run.handle_count(),
+                  "directory.handle_bytes", "one per run handle");
+  record.directory.capacity_bytes = parse_number_array<std::uint64_t>(
+      directory.at("capacity_bytes"), "capacity_bytes");
+  require_entries(record.directory.capacity_bytes.size(),
+                  record.directory.node_count, "capacity_bytes",
+                  "node_count");
   record.directory.claimed_resident_bytes = parse_number_array<std::uint64_t>(
-      directory.at("claimed_resident_bytes"));
+      directory.at("claimed_resident_bytes"), "claimed_resident_bytes");
+  require_entries(record.directory.claimed_resident_bytes.size(),
+                  record.directory.node_count, "claimed_resident_bytes",
+                  "node_count");
   const std::string& states = directory.at("states").as_string();
   const std::size_t expected =
       record.directory.handle_count() * record.directory.node_count;

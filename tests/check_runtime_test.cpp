@@ -10,6 +10,7 @@
 #include "check/audit_file.hpp"
 #include "helpers.hpp"
 #include "sched/mct.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace hetflow::check {
@@ -177,11 +178,91 @@ TEST(RuntimeAudit, ReloadedAuditSpansNameTheirTasks) {
   }
 }
 
+/// A real run's audit document (two memory nodes, one dependency edge,
+/// spans), for the malformed-document cases below to break.
+util::Json valid_audit_document() {
+  const hw::Platform p = hw::make_workstation();
+  core::Runtime rt(p, std::make_unique<sched::MctScheduler>());
+  const auto d = rt.register_data("d", 1 << 20);
+  rt.submit("produce", cpu_gpu_codelet(), 8e9, {{d, data::AccessMode::Write}});
+  rt.submit("consume", cpu_gpu_codelet(), 8e9, {{d, data::AccessMode::Read}});
+  rt.wait_all();
+  return util::Json::parse(to_audit_json(snapshot_audit(rt)));
+}
+
 TEST(RuntimeAudit, ParseRejectsMalformedDocuments) {
   EXPECT_ANY_THROW(parse_audit_json("not json"));
   EXPECT_ANY_THROW(parse_audit_json("{}"));
   EXPECT_ANY_THROW(
       parse_audit_json(R"({"format":"something-else","version":1})"));
+
+  const util::Json valid = valid_audit_document();
+  ASSERT_NO_THROW(parse_audit_json(valid.dump()));
+  ASSERT_GE(valid.at("directory").at("node_count").as_number(), 2);
+  ASSERT_EQ(valid.at("run").at("tasks").as_array().at(1).at("deps").size(),
+            1u);
+  // Each case breaks one field of the valid document; the ParseError
+  // must name it.
+  const auto rejects = [&valid](const char* field, const auto& mutate) {
+    util::Json doc = valid;
+    mutate(doc);
+    try {
+      parse_audit_json(doc.dump());
+      ADD_FAILURE() << "accepted a malformed '" << field << "'";
+    } catch (const ParseError& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  const auto run = [](util::Json& doc) -> util::Json& { return doc["run"]; };
+  const auto dir = [](util::Json& doc) -> util::Json& {
+    return doc["directory"];
+  };
+  const auto deps = [](util::Json& doc) -> util::Json& {
+    return doc["run"]["tasks"].as_array().at(1)["deps"];
+  };
+  const auto one = [](util::Json value) {
+    util::Json array = util::Json::array();
+    array.push_back(std::move(value));
+    return array;
+  };
+
+  // Integer fields: non-integral, negative, out of range, not a number.
+  rejects("deps", [&](util::Json& doc) { deps(doc) = one(1e30); });
+  rejects("deps", [&](util::Json& doc) { deps(doc) = one(0.5); });
+  rejects("deps", [&](util::Json& doc) { deps(doc) = one(-1); });
+  rejects("deps", [&](util::Json& doc) { deps(doc) = one("0"); });
+  rejects("deps", [&](util::Json& doc) { deps(doc) = 0; });
+  rejects("node_count", [&](util::Json& doc) { run(doc)["node_count"] = 1.5; });
+  rejects("device", [&](util::Json& doc) {
+    doc["run"]["tasks"].as_array().at(0)["device"] = 4294967296.0;
+  });
+  rejects("data", [&](util::Json& doc) {
+    doc["run"]["tasks"].as_array().at(0)["accesses"].as_array().at(0)["data"] =
+        -1;
+  });
+  rejects("task", [&](util::Json& doc) {
+    doc["run"]["spans"].as_array().at(0)["task"] = 0.25;
+  });
+  rejects("capacity_bytes",
+          [&](util::Json& doc) { dir(doc)["capacity_bytes"] = one(1e300); });
+
+  // Array lengths that disagree with their counts.
+  rejects("claimed_resident_bytes", [&](util::Json& doc) {
+    dir(doc)["claimed_resident_bytes"] = util::Json::array();
+  });
+  rejects("capacity_bytes", [&](util::Json& doc) {
+    dir(doc)["capacity_bytes"] = util::Json::array();
+  });
+  rejects("capacity_bytes",
+          [&](util::Json& doc) { dir(doc)["capacity_bytes"].push_back(1); });
+  rejects("device_memory_node", [&](util::Json& doc) {
+    run(doc)["device_memory_node"].as_array().pop_back();
+  });
+  rejects("handle_home",
+          [&](util::Json& doc) { run(doc)["handle_home"].push_back(0); });
+  rejects("directory.handle_bytes",
+          [&](util::Json& doc) { dir(doc)["handle_bytes"].push_back(1); });
 }
 
 TEST(RuntimeAudit, CorruptedSnapshotIsCaughtNotVacuouslyAccepted) {
