@@ -62,7 +62,7 @@ void JsonWriter::close(char bracket, bool object) {
   }
   const Frame& frame = frames_[depth_ - 1];
   if (frame.key_pending) {
-    misuse("key '" + std::string(frame.last_key()) + "' has no value");
+    misuse("key '" + frame.last_key + "' has no value");
   }
   const bool empty = frame.items == 0;
   --depth_;
@@ -92,42 +92,29 @@ JsonWriter& JsonWriter::end_array() {
   return *this;
 }
 
-JsonWriter::Frame& JsonWriter::begin_key(std::string_view name) {
+JsonWriter& JsonWriter::key(std::string_view name) {
   if (depth_ == 0 || !frames_[depth_ - 1].object) {
     misuse("key '" + std::string(name) + "' outside an object");
   }
   Frame& frame = frames_[depth_ - 1];
   if (frame.key_pending) {
-    misuse("key '" + std::string(frame.last_key()) + "' has no value");
+    misuse("key '" + frame.last_key + "' has no value");
   }
   if (frame.items++ > 0) {
-    if (name <= frame.last_key()) {
+    if (name <= frame.last_key) {
       misuse("key '" + std::string(name) + "' does not sort after '" +
-             std::string(frame.last_key()) + "'");
+             frame.last_key + "'");
     }
     out_ += ',';
   }
+  frame.last_key.assign(name);
   frame.key_pending = true;
   line_break();
-  return frame;
-}
-
-JsonWriter& JsonWriter::key(JsonKey name) {
-  Frame& frame = begin_key(name.view());
-  frame.last_literal = name.view();
-  frame.key_copied = false;
-  out_ += '"';
-  out_ += name.view();
-  out_ += indent_ > 0 ? "\": " : "\":";
-  return *this;
-}
-
-JsonWriter& JsonWriter::runtime_key(std::string_view name) {
-  Frame& frame = begin_key(name);
-  frame.key_copy.assign(name);
-  frame.key_copied = true;
   append_json_string(out_, name);
-  out_ += indent_ > 0 ? ": " : ":";
+  out_ += ':';
+  if (indent_ > 0) {
+    out_ += ' ';
+  }
   return *this;
 }
 

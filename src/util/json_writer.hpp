@@ -11,11 +11,6 @@
 // an out-of-order or repeated key fails loudly instead of producing a
 // document that no longer round-trips through Json::parse + dump.
 //
-// A string-literal key is a JsonKey, checked at compile time, appended
-// without an escape scan and remembered for the order check as a view
-// of the literal. A key computed at run time (a std::string or
-// std::string_view) is escaped and copied.
-//
 //   JsonWriter w(0);
 //   w.begin_object();
 //   w.key("name").string("gpu0");
@@ -24,39 +19,12 @@
 //   std::string text = w.take();  // {"name":"gpu0","tid":3}
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace hetflow::util {
-
-/// Never defined: a JsonKey literal that calls it does not compile.
-void json_key_needs_escaping();
-
-/// A member name fixed at compile time. The consteval constructor takes
-/// a string literal and rejects, as a compile error, any byte JSON
-/// would escape (below 0x20, '"' or '\\'), so the name is written
-/// verbatim. A literal has static storage, so a view of it outlives the
-/// writer.
-class JsonKey {
- public:
-  template <std::size_t N>
-  consteval JsonKey(const char (&name)[N])  // NOLINT(google-explicit-constructor)
-      : name_(name, N - 1) {
-    for (const char c : name_) {
-      if (static_cast<unsigned char>(c) < 0x20 || c == '"' || c == '\\') {
-        json_key_needs_escaping();
-      }
-    }
-  }
-
-  constexpr std::string_view view() const noexcept { return name_; }
-
- private:
-  std::string_view name_;
-};
 
 class JsonWriter {
  public:
@@ -70,16 +38,7 @@ class JsonWriter {
   JsonWriter& end_array();
 
   /// Next member name of the innermost object; the value call follows.
-  JsonWriter& key(JsonKey name);
-  /// The same for a name computed at run time (a map key, a label
-  /// name), which is escaped and copied. A literal cannot select this
-  /// overload; it is a JsonKey.
-  template <typename String>
-    requires std::same_as<String, std::string> ||
-             std::same_as<String, std::string_view>
-  JsonWriter& key(const String& name) {
-    return runtime_key(name);
-  }
+  JsonWriter& key(std::string_view name);
 
   JsonWriter& number(double value);
   JsonWriter& string(std::string_view value);
@@ -97,19 +56,10 @@ class JsonWriter {
 
  private:
   struct Frame {
-    /// Previous key (objects), for the order check: a literal's storage,
-    /// or empty while key_copy holds a run-time key. (A view of key_copy
-    /// would dangle when frames_ reallocates.)
-    std::string_view last_literal;
-    std::string key_copy;
+    std::string last_key;  ///< previous key (objects), for the order check
     std::size_t items = 0;
     bool object = false;
     bool key_pending = false;  ///< key() written, its value not yet
-    bool key_copied = false;   ///< the previous key is in key_copy
-
-    std::string_view last_key() const noexcept {
-      return key_copied ? std::string_view(key_copy) : last_literal;
-    }
   };
 
   std::string out_;
@@ -119,9 +69,6 @@ class JsonWriter {
   std::size_t depth_ = 0;
   int indent_ = 0;
 
-  JsonWriter& runtime_key(std::string_view name);
-  /// Checks and separates the next key of the innermost object.
-  Frame& begin_key(std::string_view name);
   void open(char bracket, bool object);
   void close(char bracket, bool object);
   void before_value();

@@ -119,9 +119,9 @@ TEST(Metrics, JsonSnapshotShape) {
 }
 
 TEST(Metrics, LabelsGivenOutOfOrderAreWrittenSorted) {
-  // Label names reach JsonWriter through its run-time-key overload;
-  // the snapshot sorts them (a repeated name keeps its last value), so
-  // an out-of-order, repeated and non-ASCII label set writes without
+  // Label names are JsonWriter keys computed at run time; the snapshot
+  // sorts them (a repeated name keeps its last value), so an
+  // out-of-order, repeated and non-ASCII label set writes without
   // tripping the key-order check, in the DOM's order.
   MetricsRegistry registry;
   registry

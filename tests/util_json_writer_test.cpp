@@ -403,28 +403,10 @@ TEST(JsonWriterKeys, OrderIsStdMapOrder) {
   EXPECT_EQ(w.take(), dom.dump());
 }
 
-TEST(JsonWriterKeys, RunTimeKeysKeepTheOrderCheck) {
-  // std::string and std::string_view keys take the escaping overload;
-  // the order check holds within it and across the literal path.
-  const std::string b = "b";
-  const std::string quoted = "q\"";
-  JsonWriter w(0);
-  w.begin_object().key(b).number(1);
-  EXPECT_THROW(w.key(std::string("a")), InternalError);
-  EXPECT_THROW(w.key(std::string_view(b)), InternalError);  // repeated
-  EXPECT_THROW(w.key("b"), InternalError);  // literal after run-time
-  w.key("m").number(2);
-  EXPECT_THROW(w.key(std::string_view("m")), InternalError);
-  w.key(quoted).number(3).key("r").number(4);
-  w.end_object();
-  EXPECT_EQ(w.take(), "{\"b\":1,\"m\":2,\"q\\\"\":3,\"r\":4}");
-}
-
 TEST(JsonWriterKeys, JsonObjectInsertedOutOfOrderDumps) {
-  // Json::dump writes its std::map keys through the run-time-key
-  // overload: keys inserted out of order (escapes, a prefix, UTF-8)
-  // come out sorted, pass the key-order check, and parse back to the
-  // same object.
+  // Json::dump writes its std::map keys through JsonWriter::key: keys
+  // inserted out of order (escapes, a prefix, UTF-8) come out sorted,
+  // pass the key-order check, and parse back to the same object.
   Json dom = Json::object();
   for (const char* key : {"z", "task", "\xc3\xa9", "t", "a\"b", "a\n"}) {
     dom[key] = key;
