@@ -199,43 +199,47 @@ AuditRecord parse_audit_json(const std::string& text) {
   AuditRecord record;
   const util::Json& run = doc.at("run");
   record.run.device_count =
-      parse_integer<std::size_t>(run.at("device_count"), "device_count");
+      parse_integer<std::size_t>(run.at("device_count"), "run.device_count");
   record.run.node_count =
-      parse_integer<std::size_t>(run.at("node_count"), "node_count");
+      parse_integer<std::size_t>(run.at("node_count"), "run.node_count");
   record.run.device_memory_node = parse_number_array<std::uint32_t>(
-      run.at("device_memory_node"), "device_memory_node");
+      run.at("device_memory_node"), "run.device_memory_node");
   require_entries(record.run.device_memory_node.size(),
-                  record.run.device_count, "device_memory_node",
-                  "device_count");
-  record.run.handle_bytes =
-      parse_number_array<std::uint64_t>(run.at("handle_bytes"), "handle_bytes");
-  record.run.handle_home =
-      parse_number_array<std::uint32_t>(run.at("handle_home"), "handle_home");
+                  record.run.device_count, "run.device_memory_node",
+                  "run.device_count");
+  record.run.handle_bytes = parse_number_array<std::uint64_t>(
+      run.at("handle_bytes"), "run.handle_bytes");
+  record.run.handle_home = parse_number_array<std::uint32_t>(
+      run.at("handle_home"), "run.handle_home");
   require_entries(record.run.handle_home.size(), record.run.handle_count(),
-                  "handle_home", "one per handle_bytes entry");
+                  "run.handle_home", "one per run.handle_bytes entry");
   for (const util::Json& entry : run.at("tasks").as_array()) {
     TaskRecord task;
-    task.id = parse_integer<std::uint64_t>(entry.at("id"), "id");
+    task.id = parse_integer<std::uint64_t>(entry.at("id"), "run.tasks.id");
     task.name = entry.at("name").as_string();
-    task.device = parse_integer<std::uint32_t>(entry.at("device"), "device");
+    task.device =
+        parse_integer<std::uint32_t>(entry.at("device"), "run.tasks.device");
     task.start = entry.at("start").as_number();
     task.end = entry.at("end").as_number();
     task.completed = entry.at("completed").as_bool();
     for (const util::Json& one : entry.at("accesses").as_array()) {
       task.accesses.push_back(
-          {parse_integer<data::DataId>(one.at("data"), "data"),
+          {parse_integer<data::DataId>(one.at("data"),
+                                       "run.tasks.accesses.data"),
            parse_mode(one.at("mode").as_string())});
     }
     task.dependencies =
-        parse_number_array<std::uint64_t>(entry.at("deps"), "deps");
+        parse_number_array<std::uint64_t>(entry.at("deps"), "run.tasks.deps");
     record.run.tasks.push_back(std::move(task));
   }
   record.run.names = std::make_shared<util::StringInterner>();
   for (const util::Json& entry : run.at("spans").as_array()) {
     trace::Span span;
-    span.task_id = parse_integer<std::uint64_t>(entry.at("task"), "task");
+    span.task_id =
+        parse_integer<std::uint64_t>(entry.at("task"), "run.spans.task");
     span.name = record.run.names->intern_view(entry.at("name").as_string());
-    span.device = parse_integer<hw::DeviceId>(entry.at("device"), "device");
+    span.device =
+        parse_integer<hw::DeviceId>(entry.at("device"), "run.spans.device");
     span.start = entry.at("start").as_number();
     span.end = entry.at("end").as_number();
     span.kind = parse_kind(entry.at("kind").as_string());
@@ -243,22 +247,23 @@ AuditRecord parse_audit_json(const std::string& text) {
   }
 
   const util::Json& directory = doc.at("directory");
-  record.directory.node_count =
-      parse_integer<std::size_t>(directory.at("node_count"), "node_count");
+  record.directory.node_count = parse_integer<std::size_t>(
+      directory.at("node_count"), "directory.node_count");
   record.directory.handle_bytes = parse_number_array<std::uint64_t>(
-      directory.at("handle_bytes"), "handle_bytes");
+      directory.at("handle_bytes"), "directory.handle_bytes");
   require_entries(record.directory.handle_count(), record.run.handle_count(),
-                  "directory.handle_bytes", "one per run handle");
+                  "directory.handle_bytes", "one per run.handle_bytes entry");
   record.directory.capacity_bytes = parse_number_array<std::uint64_t>(
-      directory.at("capacity_bytes"), "capacity_bytes");
+      directory.at("capacity_bytes"), "directory.capacity_bytes");
   require_entries(record.directory.capacity_bytes.size(),
-                  record.directory.node_count, "capacity_bytes",
-                  "node_count");
+                  record.directory.node_count, "directory.capacity_bytes",
+                  "directory.node_count");
   record.directory.claimed_resident_bytes = parse_number_array<std::uint64_t>(
-      directory.at("claimed_resident_bytes"), "claimed_resident_bytes");
+      directory.at("claimed_resident_bytes"),
+      "directory.claimed_resident_bytes");
   require_entries(record.directory.claimed_resident_bytes.size(),
-                  record.directory.node_count, "claimed_resident_bytes",
-                  "node_count");
+                  record.directory.node_count,
+                  "directory.claimed_resident_bytes", "directory.node_count");
   const std::string& states = directory.at("states").as_string();
   const std::size_t expected =
       record.directory.handle_count() * record.directory.node_count;

@@ -228,38 +228,46 @@ TEST(RuntimeAudit, ParseRejectsMalformedDocuments) {
   };
 
   // Integer fields: non-integral, negative, out of range, not a number.
-  rejects("deps", [&](util::Json& doc) { deps(doc) = one(1e30); });
-  rejects("deps", [&](util::Json& doc) { deps(doc) = one(0.5); });
-  rejects("deps", [&](util::Json& doc) { deps(doc) = one(-1); });
-  rejects("deps", [&](util::Json& doc) { deps(doc) = one("0"); });
-  rejects("deps", [&](util::Json& doc) { deps(doc) = 0; });
-  rejects("node_count", [&](util::Json& doc) { run(doc)["node_count"] = 1.5; });
-  rejects("device", [&](util::Json& doc) {
+  rejects("run.tasks.deps", [&](util::Json& doc) { deps(doc) = one(1e30); });
+  rejects("run.tasks.deps", [&](util::Json& doc) { deps(doc) = one(0.5); });
+  rejects("run.tasks.deps", [&](util::Json& doc) { deps(doc) = one(-1); });
+  rejects("run.tasks.deps", [&](util::Json& doc) { deps(doc) = one("0"); });
+  rejects("run.tasks.deps", [&](util::Json& doc) { deps(doc) = 0; });
+  rejects("run.node_count",
+          [&](util::Json& doc) { run(doc)["node_count"] = 1.5; });
+  rejects("directory.node_count",
+          [&](util::Json& doc) { dir(doc)["node_count"] = -2; });
+  rejects("run.tasks.device", [&](util::Json& doc) {
     doc["run"]["tasks"].as_array().at(0)["device"] = 4294967296.0;
   });
-  rejects("data", [&](util::Json& doc) {
+  rejects("run.spans.device", [&](util::Json& doc) {
+    doc["run"]["spans"].as_array().at(0)["device"] = 0.5;
+  });
+  rejects("run.handle_bytes",
+          [&](util::Json& doc) { run(doc)["handle_bytes"] = one(-8); });
+  rejects("run.tasks.accesses.data", [&](util::Json& doc) {
     doc["run"]["tasks"].as_array().at(0)["accesses"].as_array().at(0)["data"] =
         -1;
   });
-  rejects("task", [&](util::Json& doc) {
+  rejects("run.spans.task", [&](util::Json& doc) {
     doc["run"]["spans"].as_array().at(0)["task"] = 0.25;
   });
-  rejects("capacity_bytes",
+  rejects("directory.capacity_bytes",
           [&](util::Json& doc) { dir(doc)["capacity_bytes"] = one(1e300); });
 
   // Array lengths that disagree with their counts.
-  rejects("claimed_resident_bytes", [&](util::Json& doc) {
+  rejects("directory.claimed_resident_bytes", [&](util::Json& doc) {
     dir(doc)["claimed_resident_bytes"] = util::Json::array();
   });
-  rejects("capacity_bytes", [&](util::Json& doc) {
+  rejects("directory.capacity_bytes", [&](util::Json& doc) {
     dir(doc)["capacity_bytes"] = util::Json::array();
   });
-  rejects("capacity_bytes",
+  rejects("directory.capacity_bytes",
           [&](util::Json& doc) { dir(doc)["capacity_bytes"].push_back(1); });
-  rejects("device_memory_node", [&](util::Json& doc) {
+  rejects("run.device_memory_node", [&](util::Json& doc) {
     run(doc)["device_memory_node"].as_array().pop_back();
   });
-  rejects("handle_home",
+  rejects("run.handle_home",
           [&](util::Json& doc) { run(doc)["handle_home"].push_back(0); });
   rejects("directory.handle_bytes",
           [&](util::Json& doc) { dir(doc)["handle_bytes"].push_back(1); });
