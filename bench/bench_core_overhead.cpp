@@ -2,7 +2,7 @@
 // submit → dependency release → schedule → complete path on synthetic
 // DAGs of 10^5–10^6 near-zero-cost tasks (the paper's "runtime overhead
 // stays negligible as workflows grow" claim, measured instead of
-// assumed). Four shapes stress different parts of the bookkeeping:
+// assumed). Five shapes stress different parts of the bookkeeping:
 //
 //   chain    — 1 handle, every task RW: pure sequential release, the
 //              event queue and completion path dominate;
@@ -15,7 +15,13 @@
 //   burst    — repeated barrier + wide fan-out on one handle: with 8
 //              identical CPUs and identical task costs, completions land
 //              8-at-a-time on identical timestamps, so every completion
-//              of a storm pays its own scheduler pump.
+//              of a storm pays its own scheduler pump;
+//   invalidate — N independent GPU-only RW tasks under dmda on the HPC
+//              node, each on its own small host-homed handle: every task
+//              fetches its handle to a GPU and its write invalidates the
+//              host copy, on a host that still holds the other
+//              not-yet-run handles (the coherence directory's
+//              replica-drop path at full tilt).
 //
 // Host wall-clock is the measurand (simulated results stay seed-exact;
 // checked by the determinism suites, not here). Emits BENCH_core.json so
@@ -243,6 +249,33 @@ ShapeResult run_burst(const hw::Platform& platform, std::size_t n,
   return out;
 }
 
+/// invalidate: n GPU-only RW tasks, one fresh host-homed handle each.
+/// All handles register before the first task runs, so each write
+/// drops a host replica while the host holds up to n others.
+ShapeResult run_invalidate(std::size_t n) {
+  static const core::CodeletPtr gpu_noop =
+      core::Codelet::make("gpu_noop", {{hw::DeviceType::Gpu, 1.0}});
+  const hw::Platform platform = hw::make_hpc_node();
+  core::Runtime rt(platform, sched::make_scheduler("dmda"),
+                   lean_options());
+  // hetflow-lint: allow(det-wallclock)
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < n; ++i) {
+    const data::DataId h = rt.register_data("v", 1024);
+    rt.submit("v", gpu_noop, kNoopFlops, {{h, data::AccessMode::ReadWrite}});
+  }
+  ShapeResult out{"invalidate", n};
+  out.submit_s = wall_since(t0);
+  // hetflow-lint: allow(det-wallclock)
+  const auto t1 = std::chrono::steady_clock::now();
+  rt.wait_all();
+  out.run_s = wall_since(t1);
+  out.events = rt.event_queue().executed();
+  out.peak_pending = rt.event_queue().peak_pending();
+  out.completed = rt.stats().tasks_completed;
+  return out;
+}
+
 util::Json to_json(const ShapeResult& r) {
   util::Json row = util::Json::object();
   row["shape"] = r.shape;
@@ -305,6 +338,7 @@ int main(int argc, char** argv) {
     if (wanted("fanout")) results.push_back(run_fanout(platform, n));
     if (wanted("layered")) results.push_back(run_layered(platform, n));
     if (wanted("burst")) results.push_back(run_burst(platform, n));
+    if (wanted("invalidate")) results.push_back(run_invalidate(n));
   }
   for (const ShapeResult& r : results) {
     // Every submitted task must have completed: a silent loss at scale is

@@ -1,6 +1,5 @@
 #include "data/coherence.hpp"
 
-#include <algorithm>
 #include <limits>
 
 namespace hetflow::data {
@@ -38,7 +37,6 @@ CoherenceDirectory::CoherenceDirectory(const hw::Platform& platform,
       registry_(&registry),
       ledger_(ledger),
       node_count_(platform.memory_node_count()),
-      resident_(node_count_),
       resident_bytes_(node_count_, 0) {
   sync_with_registry();
 }
@@ -86,21 +84,9 @@ void CoherenceDirectory::set_state(DataId data, hw::MemoryNodeId node,
     return;
   }
   const std::uint64_t bytes = registry_->handle(data).bytes;
-  std::vector<DataId>& list = resident_[node];
   if (now_valid) {
-    // Handles register in ascending id order, so the overwhelmingly
-    // common insert position is the back — skip the binary search there
-    // (the list stays sorted either way).
-    if (list.empty() || list.back() < data) {
-      list.push_back(data);
-    } else {
-      list.insert(std::lower_bound(list.begin(), list.end(), data), data);
-    }
     resident_bytes_[node] += bytes;
   } else {
-    const auto it = std::lower_bound(list.begin(), list.end(), data);
-    HETFLOW_REQUIRE(it != list.end() && *it == data);
-    list.erase(it);
     resident_bytes_[node] -= bytes;
   }
   report_residency(data, node, now_valid);
@@ -155,10 +141,15 @@ void CoherenceDirectory::mark_invalid(DataId data, hw::MemoryNodeId node) {
   set_state(data, node, ReplicaState::Invalid);
 }
 
-const std::vector<DataId>& CoherenceDirectory::resident(
-    hw::MemoryNodeId node) const {
+std::vector<DataId> CoherenceDirectory::resident(hw::MemoryNodeId node) const {
   HETFLOW_REQUIRE_MSG(node < node_count_, "memory node id out of range");
-  return resident_[node];
+  std::vector<DataId> ids;
+  for (std::size_t slot = node; slot < states_.size(); slot += node_count_) {
+    if (states_[slot] != ReplicaState::Invalid) {
+      ids.push_back(static_cast<DataId>(slot / node_count_));
+    }
+  }
+  return ids;
 }
 
 std::uint64_t CoherenceDirectory::resident_bytes(hw::MemoryNodeId node) const {

@@ -7,9 +7,10 @@
 // acquire time (there is never a racing reader on a stale replica —
 // enforced by HETFLOW_REQUIRE in debug-style checks).
 //
-// Given a MemoryLedger, the directory reports every residency change on
-// a node that has an eviction index to it, so each index always holds
-// exactly its node's valid replicas.
+// Residency is held once, in the per-handle state rows, so a replica
+// transition is O(1). Given a MemoryLedger, the directory reports every
+// residency change on a node that has an eviction index to it, so each
+// index always holds exactly its node's valid replicas.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +52,6 @@ class CoherenceDirectory {
     }
     states_[static_cast<std::size_t>(handle.id) * node_count_ +
             handle.home_node] = ReplicaState::Shared;
-    // Ids register in ascending order, so the sorted residency list
-    // grows at the back.
-    resident_[handle.home_node].push_back(handle.id);
     resident_bytes_[handle.home_node] += handle.bytes;
     report_residency(handle.id, handle.home_node, true);
   }
@@ -91,8 +89,10 @@ class CoherenceDirectory {
   }
   void mark_invalid(DataId data, hw::MemoryNodeId node);
 
-  /// Handles resident (valid) on one node, in id order.
-  const std::vector<DataId>& resident(hw::MemoryNodeId node) const;
+  /// Handles resident (valid) on one node, in id order. A scan of every
+  /// handle's state row: meant for rare callers (building an eviction
+  /// index, failing a node), not for hot paths.
+  std::vector<DataId> resident(hw::MemoryNodeId node) const;
 
   /// Total replica bytes currently valid on `node`.
   std::uint64_t resident_bytes(hw::MemoryNodeId node) const;
@@ -104,8 +104,7 @@ class CoherenceDirectory {
   std::size_t node_count_;
   // states_[data * node_count_ + node]
   std::vector<ReplicaState> states_;
-  std::vector<std::vector<DataId>> resident_;       // per node, sorted
-  std::vector<std::uint64_t> resident_bytes_;       // per node
+  std::vector<std::uint64_t> resident_bytes_;  // per node
 
   void set_state(DataId data, hw::MemoryNodeId node, ReplicaState next);
   /// Forwards a residency change to the ledger's index for `node`, if

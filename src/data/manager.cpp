@@ -250,9 +250,7 @@ std::vector<DataId> DataManager::invalidate_node(hw::MemoryNodeId node) {
   HETFLOW_REQUIRE_MSG(node < platform_->memory_node_count(),
                       "memory node out of range");
   std::vector<DataId> lost;
-  // Copy: mark_invalid edits the residency list we are walking.
-  const std::vector<DataId> resident = directory_.resident(node);
-  for (const DataId data : resident) {
+  for (const DataId data : directory_.resident(node)) {
     if (directory_.valid_count(data) == 1) {
       lost.push_back(data);
     }

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -209,76 +210,109 @@ char* format_fixed17(char* out, double value) {
 
 }  // namespace
 
-void append_json_number(std::string& out, double value) {
+char* append_json_number(char* out, double value) {
   if (!std::isfinite(value)) {
     // JSON has no Inf/NaN; serialize as null (standard-compatible).
-    out += "null";
-    return;
+    std::memcpy(out, "null", 4);
+    return out + 4;
   }
-  char buf[48];
-  char* end = buf;
   const double magnitude = std::fabs(value);
   if (value == std::floor(value) && magnitude < 1e15) {
     if (value == 0.0 && std::signbit(value)) {
-      out += "-0";  // %.0f keeps the sign of negative zero
-      return;
+      std::memcpy(out, "-0", 2);  // %.0f keeps the sign of negative zero
+      return out + 2;
     }
-    end = std::to_chars(buf, buf + sizeof buf,
-                        static_cast<std::int64_t>(value))
-              .ptr;
-  } else if (magnitude >= 1e-4 && magnitude < 1e15) {
-    end = format_fixed17(buf, value);
-  } else {
-    // The standard defines general + precision as printf's %.17g.
-    end = std::to_chars(buf, buf + sizeof buf, value,
-                        std::chars_format::general, 17)
-              .ptr;
+    return std::to_chars(out, out + kJsonNumberRoom,
+                         static_cast<std::int64_t>(value))
+        .ptr;
   }
-  out.append(buf, static_cast<std::size_t>(end - buf));
+  if (magnitude >= 1e-4 && magnitude < 1e15) {
+    return format_fixed17(out, value);
+  }
+  // The standard defines general + precision as printf's %.17g.
+  return std::to_chars(out, out + kJsonNumberRoom, value,
+                       std::chars_format::general, 17)
+      .ptr;
 }
 
-void append_json_string(std::string& out, std::string_view value) {
+void append_json_number(std::string& out, double value) {
+  char buf[kJsonNumberRoom];
+  out.append(buf, static_cast<std::size_t>(append_json_number(buf, value) -
+                                           buf));
+}
+
+namespace {
+
+/// The escape of byte `c`, or null for a byte copied verbatim.
+const char* json_escape(unsigned char c) {
+  switch (c) {
+    case '"':
+      return "\\\"";
+    case '\\':
+      return "\\\\";
+    case '\n':
+      return "\\n";
+    case '\r':
+      return "\\r";
+    case '\t':
+      return "\\t";
+    case '\b':
+      return "\\b";
+    case '\f':
+      return "\\f";
+    default:
+      return nullptr;
+  }
+}
+
+bool needs_escape(unsigned char c) {
+  return c < 0x20 || c == '"' || c == '\\';
+}
+
+}  // namespace
+
+std::size_t json_string_size(std::string_view value) {
+  std::size_t size = value.size() + 2;
+  for (const char ch : value) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (needs_escape(c)) {
+      size += json_escape(c) != nullptr ? 1 : 5;
+    }
+  }
+  return size;
+}
+
+char* append_json_string(char* out, std::string_view value) {
   static constexpr char kHex[] = "0123456789abcdef";
-  out += '"';
-  // Copy runs of plain bytes in one append; escape the rest one by one.
+  *out++ = '"';
+  // Copy runs of plain bytes in one go; escape the rest one by one.
   std::size_t run = 0;
   for (std::size_t i = 0; i < value.size(); ++i) {
     const auto c = static_cast<unsigned char>(value[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') {
+    if (!needs_escape(c)) {
       continue;
     }
-    out.append(value.data() + run, i - run);
+    out = std::copy(value.begin() + run, value.begin() + i, out);
     run = i + 1;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        out += "\\u00";
-        out += kHex[c >> 4];
-        out += kHex[c & 0xf];
+    if (const char* escape = json_escape(c)) {
+      std::memcpy(out, escape, 2);
+      out += 2;
+    } else {
+      std::memcpy(out, "\\u00", 4);
+      out[4] = kHex[c >> 4];
+      out[5] = kHex[c & 0xf];
+      out += 6;
     }
   }
-  out.append(value.data() + run, value.size() - run);
-  out += '"';
+  out = std::copy(value.begin() + run, value.end(), out);
+  *out++ = '"';
+  return out;
+}
+
+void append_json_string(std::string& out, std::string_view value) {
+  const std::size_t at = out.size();
+  out.resize(at + json_string_size(value));
+  append_json_string(out.data() + at, value);
 }
 
 void Json::write(JsonWriter& out) const {

@@ -10,6 +10,7 @@
 // UTF-8).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -29,11 +30,31 @@ class JsonWriter;
 /// prints as printf's %.17g, via std::to_chars.
 void append_json_number(std::string& out, double value);
 
+/// Room append_json_number(char*) needs at `out`. It may store past the
+/// end of the text it leaves (fixed-size copies), never past this.
+inline constexpr std::size_t kJsonNumberRoom = 48;
+
+/// append_json_number into raw room; returns the end of the text.
+char* append_json_number(char* out, double value);
+
 /// The one JSON string escaper: the quoted value with '"' and '\\'
 /// backslash-escaped, \b \f \n \r \t for those control bytes and \u00xx
 /// for the other bytes below 0x20; every other byte (0x7f, UTF-8) is
 /// copied verbatim.
 void append_json_string(std::string& out, std::string_view value);
+
+/// The most bytes append_json_string writes for a `size`-byte value:
+/// the quotes plus six (\u00xx) per byte.
+constexpr std::size_t json_string_bound(std::size_t size) {
+  return 2 + 6 * size;
+}
+
+/// The exact number of bytes append_json_string writes for `value`.
+std::size_t json_string_size(std::string_view value);
+
+/// append_json_string into raw room (json_string_size(value) bytes
+/// suffice); returns the end of the text.
+char* append_json_string(char* out, std::string_view value);
 
 using JsonArray = std::vector<Json>;
 /// std::map keeps key order deterministic for golden-output tests.

@@ -1,11 +1,30 @@
 #include "util/json_writer.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace hetflow::util {
 
 namespace {
+
+/// Zeroed room grow() adds past what the current write needs, up to the
+/// capacity: one page, so zeroing stays just ahead of the writes and
+/// capacity the text never reaches is never touched. The capacity
+/// doubles as it would under appends.
+constexpr std::size_t kGrowSlack = 4096;
+
+/// Strings up to this size reserve the escaper's worst case; longer ones
+/// (the audit's per-replica state string) are measured first, so the
+/// room zeroed for them stays their size, not six times it.
+constexpr std::size_t kShortString = 256;
+
+std::size_t string_room(std::string_view value) {
+  return value.size() <= kShortString ? json_string_bound(value.size())
+                                      : json_string_size(value);
+}
 
 [[noreturn]] void misuse(const std::string& what) {
   throw InternalError("JsonWriter: " + what);
@@ -19,16 +38,38 @@ JsonWriter::JsonWriter(int indent) : indent_(indent) {
   }
 }
 
-void JsonWriter::line_break() {
-  if (indent_ > 0) {
-    out_ += '\n';
-    out_.append(static_cast<std::size_t>(indent_) * depth_, ' ');
+void JsonWriter::grow(std::size_t bytes) {
+  const std::size_t needed = used_ + bytes;
+  if (needed > out_.capacity()) {
+    std::size_t capacity = out_.capacity();
+    while (capacity < needed) {
+      capacity *= 2;
+    }
+    out_.reserve(capacity);
   }
+  out_.resize(std::min(out_.capacity(), needed + kGrowSlack));
 }
 
-void JsonWriter::before_value() {
+std::string_view JsonWriter::previous_key(const Frame& frame) const {
+  if (frame.key_copied) {
+    return frame.copy;
+  }
+  return {out_.data() + frame.key_at, frame.key_size};
+}
+
+char* JsonWriter::line_break(char* out) const {
+  if (indent_ > 0) {
+    *out++ = '\n';
+    const std::size_t spaces = static_cast<std::size_t>(indent_) * depth_;
+    std::memset(out, ' ', spaces);
+    out += spaces;
+  }
+  return out;
+}
+
+char* JsonWriter::before_value(char* out) {
   if (depth_ == 0) {
-    return;
+    return out;
   }
   Frame& frame = frames_[depth_ - 1];
   if (frame.object) {
@@ -36,17 +77,22 @@ void JsonWriter::before_value() {
       misuse("object member written without a key");
     }
     frame.key_pending = false;
-    return;
+    return out;
   }
   if (frame.items++ > 0) {
-    out_ += ',';
+    *out++ = ',';
   }
-  line_break();
+  return line_break(out);
+}
+
+char* JsonWriter::value_room(std::size_t bytes) {
+  return before_value(room(1 + break_room() + bytes));
 }
 
 void JsonWriter::open(char bracket, bool object) {
-  before_value();
-  out_ += bracket;
+  char* out = value_room(1);
+  *out++ = bracket;
+  commit(out);
   if (depth_ == frames_.size()) {
     frames_.emplace_back();
   }
@@ -62,14 +108,16 @@ void JsonWriter::close(char bracket, bool object) {
   }
   const Frame& frame = frames_[depth_ - 1];
   if (frame.key_pending) {
-    misuse("key '" + frame.last_key + "' has no value");
+    misuse("key '" + std::string(previous_key(frame)) + "' has no value");
   }
   const bool empty = frame.items == 0;
   --depth_;
+  char* out = room(break_room() + 1);
   if (!empty) {
-    line_break();
+    out = line_break(out);
   }
-  out_ += bracket;
+  *out++ = bracket;
+  commit(out);
 }
 
 JsonWriter& JsonWriter::begin_object() {
@@ -98,53 +146,62 @@ JsonWriter& JsonWriter::key(std::string_view name) {
   }
   Frame& frame = frames_[depth_ - 1];
   if (frame.key_pending) {
-    misuse("key '" + frame.last_key + "' has no value");
+    misuse("key '" + std::string(previous_key(frame)) + "' has no value");
   }
+  // ',' + line break + the key + ": ".
+  char* out = room(1 + break_room() + string_room(name) + 2);
   if (frame.items++ > 0) {
-    if (name <= frame.last_key) {
+    if (name <= previous_key(frame)) {
       misuse("key '" + std::string(name) + "' does not sort after '" +
-             frame.last_key + "'");
+             std::string(previous_key(frame)) + "'");
     }
-    out_ += ',';
+    *out++ = ',';
   }
-  frame.last_key.assign(name);
   frame.key_pending = true;
-  line_break();
-  append_json_string(out_, name);
-  out_ += ':';
-  if (indent_ > 0) {
-    out_ += ' ';
+  out = line_break(out);
+  const char* text = out + 1;  // past the opening quote
+  out = append_json_string(out, name);
+  frame.key_at = static_cast<std::size_t>(text - out_.data());
+  frame.key_size = static_cast<std::size_t>(out - 1 - text);
+  frame.key_copied = frame.key_size != name.size();
+  if (frame.key_copied) {
+    frame.copy.assign(name);
   }
+  *out++ = ':';
+  if (indent_ > 0) {
+    *out++ = ' ';
+  }
+  commit(out);
   return *this;
 }
 
 JsonWriter& JsonWriter::number(double value) {
-  before_value();
-  append_json_number(out_, value);
+  commit(append_json_number(value_room(kJsonNumberRoom), value));
   return *this;
 }
 
 JsonWriter& JsonWriter::string(std::string_view value) {
-  before_value();
-  append_json_string(out_, value);
+  commit(append_json_string(value_room(string_room(value)), value));
   return *this;
 }
 
 JsonWriter& JsonWriter::boolean(bool value) {
-  before_value();
-  out_ += value ? "true" : "false";
+  char* out = value_room(5);
+  const std::string_view text = value ? "true" : "false";
+  std::memcpy(out, text.data(), text.size());
+  commit(out + text.size());
   return *this;
 }
 
 JsonWriter& JsonWriter::null() {
-  before_value();
-  out_ += "null";
+  char* out = value_room(4);
+  std::memcpy(out, "null", 4);
+  commit(out + 4);
   return *this;
 }
 
 JsonWriter& JsonWriter::raw(std::string_view json) {
-  before_value();
-  out_ += json;
+  commit(std::copy(json.begin(), json.end(), value_room(json.size())));
   return *this;
 }
 
@@ -152,7 +209,9 @@ JsonWriter& JsonWriter::newline() {
   if (depth_ != 0) {
     misuse("newline inside an open container");
   }
-  out_ += '\n';
+  char* out = room(1);
+  *out++ = '\n';
+  commit(out);
   return *this;
 }
 
@@ -160,8 +219,10 @@ std::string JsonWriter::take() {
   if (depth_ != 0) {
     misuse("take() with an open container");
   }
+  out_.resize(used_);
   std::string text = std::move(out_);
   out_.clear();
+  used_ = 0;
   return text;
 }
 

@@ -1,5 +1,8 @@
-// Streaming JSON serializer: appends straight to a std::string, with no
-// intermediate document.
+// Streaming JSON serializer: stores straight into its own std::string
+// buffer, with no intermediate document. Each call reserves the most it
+// can write in one check and then writes with plain stores. The buffer's
+// capacity doubles as under appends, and it is zeroed at most a page
+// past the text, so capacity the text never reaches is never touched.
 //
 // The output is byte-identical to Json::dump() (indent 0) or
 // Json::dump_pretty() (indent 2) of the same value, because Json itself
@@ -56,23 +59,53 @@ class JsonWriter {
 
  private:
   struct Frame {
-    std::string last_key;  ///< previous key (objects), for the order check
     std::size_t items = 0;
+    /// The previous key (objects), for the order check: its escaped
+    /// text at out_[key_at, key_at + key_size), or, when escaping
+    /// changed it, its raw bytes in `copy`.
+    std::size_t key_at = 0;
+    std::size_t key_size = 0;
+    bool key_copied = false;
+    std::string copy;
     bool object = false;
     bool key_pending = false;  ///< key() written, its value not yet
   };
 
+  /// out_[0, used_) is the text; out_[used_, out_.size()) is zeroed
+  /// room for the next writes.
   std::string out_;
+  std::size_t used_ = 0;
   /// frames_[0, depth_) are the open containers; entries past depth_ are
-  /// kept so their key buffers are reused.
+  /// kept so their key copies are reused.
   std::vector<Frame> frames_;
   std::size_t depth_ = 0;
   int indent_ = 0;
 
+  /// At least `bytes` of room at the end of the text.
+  char* room(std::size_t bytes) {
+    if (out_.size() - used_ < bytes) {
+      grow(bytes);
+    }
+    return out_.data() + used_;
+  }
+  void grow(std::size_t bytes);
+  /// Ends the text at `end`, a pointer into the room.
+  void commit(const char* end) {
+    used_ = static_cast<std::size_t>(end - out_.data());
+  }
+  /// Room for a separator and line break, then `bytes` for a value;
+  /// returns where the value goes.
+  char* value_room(std::size_t bytes);
+  /// The most a line break at the current depth writes.
+  std::size_t break_room() const {
+    return 1 + static_cast<std::size_t>(indent_) * depth_;
+  }
+  std::string_view previous_key(const Frame& frame) const;
+
   void open(char bracket, bool object);
   void close(char bracket, bool object);
-  void before_value();
-  void line_break();
+  char* before_value(char* out);
+  char* line_break(char* out) const;
 };
 
 }  // namespace hetflow::util

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
+#include "util/strings.hpp"
+
 namespace hetflow::data {
 namespace {
 
@@ -162,6 +169,85 @@ TEST(Coherence, DistributedViewGroupsMemoryNodes) {
   EXPECT_EQ(replicas(a), (std::vector<std::size_t>{1}));
   dir.mark_invalid(a, 2);
   EXPECT_TRUE(replicas(a).empty());
+}
+
+/// What resident() and resident_bytes() must report, computed from the
+/// per-replica states alone.
+void expect_residency_matches_states(const CoherenceDirectory& dir,
+                                     const DataRegistry& registry,
+                                     std::size_t nodes) {
+  for (hw::MemoryNodeId node = 0; node < nodes; ++node) {
+    std::vector<DataId> ids;
+    std::uint64_t bytes = 0;
+    for (DataId data = 0; data < registry.count(); ++data) {
+      if (dir.has_valid_replica(data, node)) {
+        ids.push_back(data);
+        bytes += registry.handle(data).bytes;
+      }
+    }
+    EXPECT_EQ(dir.resident(node), ids) << "node " << node;
+    EXPECT_EQ(dir.resident_bytes(node), bytes) << "node " << node;
+  }
+}
+
+TEST(CoherenceProperty, ResidencyFollowsRandomTransitions) {
+  std::uint64_t low_revalidations = 0;  // below the node's highest valid id
+  std::uint64_t fan_outs = 0;           // mark_modified dropping >= 2
+  std::uint64_t modified_steps = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(util::format("seed %llu",
+                              static_cast<unsigned long long>(seed)));
+    Fixture f;
+    const std::size_t nodes = f.platform.memory_node_count();
+    ASSERT_GE(nodes, 3u);
+    util::Rng rng(seed);
+    const auto register_random = [&] {
+      return f.registry.register_data(
+          util::format("d%zu", f.registry.count()), 1 + rng.index(1000),
+          static_cast<hw::MemoryNodeId>(rng.index(nodes)));
+    };
+    for (int i = 0; i < 24; ++i) {
+      register_random();  // seeded by the constructor's sync
+    }
+    CoherenceDirectory dir(f.platform, f.registry);
+    expect_residency_matches_states(dir, f.registry, nodes);
+    for (int step = 0; step < 600 && !HasFailure(); ++step) {
+      SCOPED_TRACE(util::format("step %d", step));
+      const double pick = rng.uniform();
+      if (pick < 0.04) {
+        dir.note_registered(f.registry.handle(register_random()));
+        expect_residency_matches_states(dir, f.registry, nodes);
+        continue;
+      }
+      const auto data = static_cast<DataId>(rng.index(f.registry.count()));
+      const auto node = static_cast<hw::MemoryNodeId>(rng.index(nodes));
+      if (pick < 0.55) {
+        const std::vector<DataId> before = dir.resident(node);
+        if (!dir.has_valid_replica(data, node) && !before.empty() &&
+            before.back() > data) {
+          ++low_revalidations;
+        }
+        dir.mark_shared(data, node);
+      } else if (pick < 0.80) {
+        std::size_t dropped = 0;
+        dir.mark_modified(data, node, [&](hw::MemoryNodeId other) {
+          EXPECT_NE(other, node);
+          EXPECT_TRUE(dir.has_valid_replica(data, other));
+          ++dropped;
+        });
+        EXPECT_EQ(dir.valid_count(data), 1u);
+        ++modified_steps;
+        fan_outs += dropped >= 2 ? 1 : 0;
+      } else {
+        dir.mark_invalid(data, node);
+      }
+      expect_residency_matches_states(dir, f.registry, nodes);
+    }
+  }
+  // The streams re-validate low ids after high ones and fan out writes.
+  EXPECT_GT(low_revalidations, 100u);
+  EXPECT_GT(modified_steps, 100u);
+  EXPECT_GT(fan_outs, 50u);
 }
 
 }  // namespace

@@ -62,9 +62,11 @@ hw::Platform small_memory_platform() {
 /// The rule the index must follow: resident replicas by ascending
 /// (stamp, id), pinned or not.
 std::vector<DataId> expected_index_order(const CoherenceDirectory& directory,
+                                         std::size_t data_count,
                                          const MemoryLedger& ledger,
                                          hw::MemoryNodeId node) {
-  std::vector<DataId> order = directory.resident(node);
+  std::vector<DataId> order =
+      testing::reference_resident(directory, data_count, node);
   std::stable_sort(order.begin(), order.end(), [&](DataId a, DataId b) {
     return ledger.last_use(a, node) < ledger.last_use(b, node);
   });
@@ -336,8 +338,8 @@ class Stream {
       out.order.push_back(
           real_.ledger().indexed(node)
               ? index_order(real_.ledger(), node)
-              : expected_index_order(real_.directory(), real_.ledger(),
-                                     node));
+              : expected_index_order(real_.directory(), data_count(),
+                                     real_.ledger(), node));
     }
     for (DataId data = 0; data < data_count(); ++data) {
       for (hw::MemoryNodeId node = 0; node < nodes(); ++node) {
@@ -377,14 +379,13 @@ class Stream {
       EXPECT_EQ(a.prefetches, b.prefetches);
       EXPECT_EQ(a.evictions, b.evictions);
       EXPECT_EQ(a.writebacks, b.writebacks);
-      EXPECT_EQ(real_.directory().resident(node),
-                ref_.directory().resident(node));
+      EXPECT_EQ(real_.directory().resident(node), ref_.resident(node));
       EXPECT_EQ(real_.directory().resident_bytes(node),
                 ref_.directory().resident_bytes(node));
       if (real_.ledger().indexed(node)) {
         EXPECT_EQ(index_order(real_.ledger(), node),
-                  expected_index_order(real_.directory(), real_.ledger(),
-                                       node));
+                  expected_index_order(real_.directory(), data_count(),
+                                       real_.ledger(), node));
       }
     }
     for (DataId data = 0; data < data_count(); ++data) {
@@ -498,6 +499,47 @@ TEST(EvictionDifferential, ResourceExhaustedNamesTheNode) {
   EXPECT_FALSE(mgr.directory().has_valid_replica(extra, 1));
   EXPECT_EQ(mgr.ledger().pin_count(extra, 1), 1u);
   EXPECT_GT(mgr.ledger().last_use(extra, 1), mgr.ledger().last_use(2, 1));
+}
+
+TEST(EvictionDifferential, InvalidateNodeLosesDataInIdOrder) {
+  // Sole copies land on v0 in descending id order, with a low id
+  // re-validated after its replica there was dropped. The lost list
+  // must still be ascending: the runtime resurrects in that order.
+  const hw::Platform p = small_memory_platform();
+  sim::EventQueue real_queue;
+  sim::EventQueue ref_queue;
+  DataManager real(p, real_queue);
+  ReferenceDataManager ref(p, ref_queue);
+  std::vector<DataId> ids;
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = util::format("d%d", i);
+    ids.push_back(real.register_data(name, kMiB, 0));
+    ASSERT_EQ(ref.register_data(name, kMiB, 0), ids.back());
+  }
+  const auto run = [&](DataId data, AccessMode mode, hw::MemoryNodeId node) {
+    const std::vector<Access> accesses = {{data, mode}};
+    ASSERT_EQ(real.acquire(accesses, node, 0.0),
+              ref.acquire(accesses, node, 0.0));
+    real.release(accesses, node);
+    ref.release(accesses, node);
+  };
+  // v0 writes 5, 3, 1 (sole copies), reads 4 (host keeps one), and
+  // writes 0 last, after 0's first v0 replica was invalidated by a
+  // write on v1.
+  run(ids[0], AccessMode::Read, 1);
+  run(ids[0], AccessMode::ReadWrite, 2);
+  for (const DataId data : {ids[5], ids[3], ids[1]}) {
+    run(data, AccessMode::ReadWrite, 1);
+  }
+  run(ids[4], AccessMode::Read, 1);
+  run(ids[0], AccessMode::ReadWrite, 1);
+  EXPECT_EQ(real.directory().resident(1),
+            (std::vector<DataId>{ids[0], ids[1], ids[3], ids[4], ids[5]}));
+  const std::vector<DataId> lost = real.invalidate_node(1);
+  EXPECT_EQ(lost, (std::vector<DataId>{ids[0], ids[1], ids[3], ids[5]}));
+  EXPECT_EQ(ref.invalidate_node(1), lost);
+  EXPECT_TRUE(real.directory().resident(1).empty());
+  EXPECT_EQ(real.directory().resident_bytes(1), 0u);
 }
 
 TEST(EvictionIndex, StaleHomeCopyReturnsToItsStampPosition) {

@@ -1,11 +1,14 @@
 // Test oracle for the eviction walk in DataManager::ensure_capacity
 // (data/manager.cpp).
 //
-// reference_victim_order is the victim selection the eviction index
-// replaced: scan every replica resident on the node, drop pinned ones
-// and those of the current acquire, and stable-sort the rest by last-use
-// stamp (the scan is in id order, so ties — the never-touched replicas,
-// stamp 0 — stay in id order, ahead of every touched one).
+// reference_resident lists a node's valid replicas by its own scan of
+// every handle id, so the oracle shares no residency code with the
+// directory it checks. reference_victim_order is the victim selection
+// the eviction index replaced: scan every replica resident on the node,
+// drop pinned ones and those of the current acquire, and stable-sort
+// the rest by last-use stamp (the scan is in id order, so ties — the
+// never-touched replicas, stamp 0 — stay in id order, ahead of every
+// touched one).
 //
 // ReferenceDataManager is the DataManager built on that selection: the
 // same operations, over its own directory, ledger (pins and stamps only;
@@ -32,14 +35,28 @@
 
 namespace hetflow::testing {
 
+/// Handles 0 .. data_count-1 with a valid replica on `node`, ascending.
+inline std::vector<data::DataId> reference_resident(
+    const data::CoherenceDirectory& directory, std::size_t data_count,
+    hw::MemoryNodeId node) {
+  std::vector<data::DataId> ids;
+  for (std::size_t data = 0; data < data_count; ++data) {
+    if (directory.has_valid_replica(static_cast<data::DataId>(data), node)) {
+      ids.push_back(static_cast<data::DataId>(data));
+    }
+  }
+  return ids;
+}
+
 /// Replicas resident on `node` in victim order, minus pinned replicas
 /// and those named in `do_not_evict`.
 inline std::vector<data::DataId> reference_victim_order(
-    const data::CoherenceDirectory& directory,
+    const data::CoherenceDirectory& directory, std::size_t data_count,
     const data::MemoryLedger& ledger, hw::MemoryNodeId node,
     std::span<const data::Access> do_not_evict) {
   std::vector<data::DataId> candidates;
-  for (const data::DataId data : directory.resident(node)) {
+  for (const data::DataId data :
+       reference_resident(directory, data_count, node)) {
     if (ledger.pinned(data, node)) {
       continue;
     }
@@ -102,6 +119,10 @@ class ReferenceDataManager {
     return node_stats_;
   }
   const EvictionCoverage& coverage() const { return coverage_; }
+  /// Handles valid on `node`, by the oracle's own id scan.
+  std::vector<data::DataId> resident(hw::MemoryNodeId node) const {
+    return reference_resident(directory_, registry_.count(), node);
+  }
   /// Victims since the last call, in eviction order.
   std::vector<Victim> take_victims() { return std::move(victims_); }
 
@@ -214,8 +235,7 @@ class ReferenceDataManager {
 
   std::vector<data::DataId> invalidate_node(hw::MemoryNodeId node) {
     std::vector<data::DataId> lost;
-    const std::vector<data::DataId> resident = directory_.resident(node);
-    for (const data::DataId data : resident) {
+    for (const data::DataId data : resident(node)) {
       if (directory_.valid_count(data) == 1) {
         lost.push_back(data);
       }
@@ -258,7 +278,7 @@ class ReferenceDataManager {
 
   void count_skips(hw::MemoryNodeId node,
                    std::span<const data::Access> do_not_evict) {
-    for (const data::DataId data : directory_.resident(node)) {
+    for (const data::DataId data : resident(node)) {
       if (ledger_.pinned(data, node)) {
         ++coverage_.pinned_skips;
       } else if (std::any_of(do_not_evict.begin(), do_not_evict.end(),
@@ -292,7 +312,8 @@ class ReferenceDataManager {
     }
     count_skips(node, do_not_evict);
     for (const data::DataId victim :
-         reference_victim_order(directory_, ledger_, node, do_not_evict)) {
+         reference_victim_order(directory_, registry_.count(), ledger_, node,
+                                do_not_evict)) {
       if (directory_.resident_bytes(node) + needed <= capacity) {
         return;
       }

@@ -228,6 +228,42 @@ TEST(JsonNumber, KnownSpellings) {
   EXPECT_EQ(formatted(-std::numeric_limits<double>::infinity()), "null");
 }
 
+TEST(JsonNumber, RawFormStaysInsideItsRoom) {
+  std::vector<double> values = edge_numbers();
+  Rng rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    values.push_back(d);
+    values.push_back(rng.uniform(-1e15, 1e15));
+  }
+  for (const double d : values) {
+    char room[kJsonNumberRoom + 16];
+    std::memset(room, '#', sizeof room);
+    const char* end = append_json_number(room, d);
+    ASSERT_EQ(std::string_view(room, end), printf_reference(d)) << d;
+    for (std::size_t i = kJsonNumberRoom; i < sizeof room; ++i) {
+      ASSERT_EQ(room[i], '#') << d;
+    }
+  }
+}
+
+TEST(JsonNumber, ManyValuesAcrossBufferGrowth) {
+  JsonWriter w(0);
+  std::string want = "[";
+  Rng rng(5);
+  w.begin_array();
+  for (int i = 0; i < 50000; ++i) {
+    const double d = rng.uniform(-1e6, 1e6);
+    w.number(d);
+    want += i == 0 ? "" : ",";
+    want += printf_reference(d);
+  }
+  w.end_array();
+  EXPECT_EQ(w.take(), want + "]");
+}
+
 TEST(JsonNumber, WriterAndDomAgree) {
   for (double d : edge_numbers()) {
     EXPECT_EQ(written(d, 0), Json(d).dump()) << d;
@@ -254,16 +290,19 @@ TEST(JsonString, WriterAndDomAgree) {
   }
 }
 
+/// every_special_byte() as append_json_string writes it, unquoted.
+constexpr const char* kEscapedSpecialBytes =
+    "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+    "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+    "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+    "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+    "\\\"\\\\/\x7f"
+    "h\xc3\xa9llo \xe2\x9c\x93 \xf0\x9d\x84\x9e";
+
 TEST(JsonString, EscapesControlBytesQuoteAndBackslashOnly) {
   std::string out;
   append_json_string(out, every_special_byte());
-  EXPECT_EQ(out,
-            "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
-            "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
-            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
-            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
-            "\\\"\\\\/\x7f"
-            "h\xc3\xa9llo \xe2\x9c\x93 \xf0\x9d\x84\x9e\"");
+  EXPECT_EQ(out, '"' + std::string(kEscapedSpecialBytes) + '"');
 }
 
 TEST(JsonString, RoundTripsThroughTheParser) {
@@ -271,6 +310,42 @@ TEST(JsonString, RoundTripsThroughTheParser) {
   const std::string s = every_special_byte();
   append_json_string(out, s);
   EXPECT_EQ(Json::parse(out).as_string(), s);
+}
+
+std::string repeated(const std::string& part, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) {
+    out += part;
+  }
+  return out;
+}
+
+TEST(JsonString, RawFormWritesExactlyTheMeasuredSize) {
+  const std::string special = every_special_byte();
+  for (const std::string& s :
+       {std::string(), std::string("plain"), special, repeated(special, 50),
+        std::string(5000, 'x')}) {
+    std::string via_string;
+    append_json_string(via_string, s);
+    EXPECT_EQ(json_string_size(s), via_string.size());
+    EXPECT_LE(json_string_size(s), json_string_bound(s.size()));
+    std::vector<char> room(json_string_size(s));
+    char* end = append_json_string(room.data(), s);
+    EXPECT_EQ(std::string_view(room.data(), end), via_string);
+  }
+}
+
+TEST(JsonString, LongValuesMatchTheEscapedText) {
+  // Over the writer's short-string size: the room is measured, not
+  // bounded, and the buffer grows several times.
+  const std::string value = repeated(every_special_byte(), 400);
+  const std::string text = '"' + repeated(kEscapedSpecialBytes, 400) + '"';
+  JsonWriter compact(0);
+  compact.begin_array().string(value).string("s").string(value).end_array();
+  EXPECT_EQ(compact.take(), "[" + text + ",\"s\"," + text + "]");
+  JsonWriter pretty(2);
+  pretty.begin_object().key("v").string(value).end_object();
+  EXPECT_EQ(pretty.take(), "{\n  \"v\": " + text + "\n}");
 }
 
 /// The same nested document built as a DOM and streamed by hand: empty
@@ -401,6 +476,32 @@ TEST(JsonWriterKeys, OrderIsStdMapOrder) {
   dom["z"] = 2;
   dom["\xc3\xa9"] = 3;
   EXPECT_EQ(w.take(), dom.dump());
+}
+
+TEST(JsonWriterKeys, OrderCheckReadsThePreviousKeyAfterGrowth) {
+  // The previous key is compared where it was written, after the buffer
+  // has moved, or from its copy when escaping changed its bytes.
+  const std::string big(200000, 'x');
+  JsonWriter w(0);
+  w.begin_object().key("k").string(big).key("l").string(big);
+  try {
+    w.key("k");
+    FAIL() << "a key sorting before the previous one must throw";
+  } catch (const InternalError& e) {
+    EXPECT_STREQ(e.what(), "JsonWriter: key 'k' does not sort after 'l'");
+  }
+  const std::string escaped = repeated("a\n", 200);  // measured, copied
+  JsonWriter e(2);
+  e.begin_object().key(escaped).number(1).key(escaped + "b").number(2);
+  EXPECT_THROW(e.key(escaped), InternalError);
+  JsonWriter pending(0);
+  pending.begin_object().key("a\"b");
+  try {
+    pending.end_object();
+    FAIL() << "a key without a value must throw";
+  } catch (const InternalError& error) {
+    EXPECT_STREQ(error.what(), "JsonWriter: key 'a\"b' has no value");
+  }
 }
 
 TEST(JsonWriterKeys, JsonObjectInsertedOutOfOrderDumps) {
