@@ -9,11 +9,8 @@
 #include "data/coherence.hpp"
 #include "data/handle.hpp"
 #include "hw/platform.hpp"
+#include "obs/recorder.hpp"
 #include "sim/event_queue.hpp"
-
-namespace hetflow::obs {
-class Recorder;
-}
 
 namespace hetflow::core {
 
@@ -96,6 +93,13 @@ class SchedContext {
   /// Observability sink for scheduler decision logging; null when
   /// RuntimeOptions::metrics is off (policies must tolerate null).
   virtual obs::Recorder* recorder() const noexcept { return nullptr; }
+
+  /// Appends one decision to recorder(), which must be non-null. A
+  /// context that renumbers devices (the cluster's per-node view)
+  /// translates every device id in the record here.
+  virtual void record_decision(obs::SchedDecision decision) {
+    recorder()->add_decision(std::move(decision));
+  }
 
   /// Live MSI replica directory, for placement layers (the cluster
   /// scheduler) that score residency across memory nodes. Null when the

@@ -61,6 +61,13 @@ class ClusterScheduler::NodeContext final : public core::SchedContext {
   obs::Recorder* recorder() const noexcept override {
     return parent_->recorder();
   }
+  void record_decision(obs::SchedDecision decision) override {
+    decision.winner += first_device_;
+    for (obs::DecisionCandidate& candidate : decision.candidates) {
+      candidate.device += first_device_;
+    }
+    parent_->record_decision(std::move(decision));
+  }
   const data::CoherenceDirectory* coherence() const noexcept override {
     return parent_->coherence();
   }

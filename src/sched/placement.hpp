@@ -18,15 +18,14 @@
 namespace hetflow::sched {
 
 /// Appends one scheduler decision: `winner` chosen for `task` among
-/// `candidates`, by `scheduler` for `reason`.
-inline void record_decision(obs::Recorder& recorder,
-                            const core::SchedContext& ctx,
-                            const core::Task& task, std::string scheduler,
+/// `candidates`, by `scheduler` for `reason`. Observability must be on.
+inline void record_decision(core::SchedContext& ctx, const core::Task& task,
+                            std::string scheduler,
                             std::vector<obs::DecisionCandidate> candidates,
                             hw::DeviceId winner, std::string reason) {
-  recorder.add_decision({task.id(), task.name(), ctx.now(),
-                         std::move(scheduler), std::move(candidates), winner,
-                         std::move(reason)});
+  ctx.record_decision({task.id(), task.name(), ctx.now(),
+                       std::move(scheduler), std::move(candidates), winner,
+                       std::move(reason)});
 }
 
 /// Assigns `task` to the device with the smallest estimated completion
@@ -139,7 +138,7 @@ inline void assign_min_completion(core::SchedContext& ctx, core::Task& task,
                  const obs::DecisionCandidate& b) {
                 return a.device < b.device;
               });
-    record_decision(*recorder, ctx, task, scheduler, std::move(candidates),
+    record_decision(ctx, task, scheduler, std::move(candidates),
                     best->id(), reason);
   }
   ctx.assign(task, *best);

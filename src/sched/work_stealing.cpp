@@ -14,11 +14,10 @@ namespace {
 /// LAST record per task names the device it actually ran on.
 void log_placement(core::SchedContext& ctx, const core::Task& task,
                    const hw::Device& device, std::string reason) {
-  obs::Recorder* recorder = ctx.recorder();
-  if (recorder == nullptr) {
+  if (ctx.recorder() == nullptr) {
     return;
   }
-  record_decision(*recorder, ctx, task, "work-stealing",
+  record_decision(ctx, task, "work-stealing",
                   {{device.id(), ctx.estimate_completion(task, device),
                     ctx.estimate_energy(task, device),
                     ctx.device_blacklisted(device)}},

@@ -50,18 +50,23 @@ constexpr const char* kSchedulers[] = {"mct", "dmda", "dmdas",
 /// irregular so accidental reconciliations can't pass. (Runtime is not
 /// movable — the scheduler context points back into it — so it lives on
 /// the heap.)
-std::unique_ptr<core::Runtime> make_run(const hw::Platform& platform,
-                                        const std::string& scheduler) {
+std::unique_ptr<core::Runtime> make_run(
+    const hw::Platform& platform, std::unique_ptr<core::Scheduler> scheduler) {
   core::RuntimeOptions options;
   options.metrics = true;
   options.seed = 13;
   options.noise_cv = 0.15;
   auto runtime = std::make_unique<core::Runtime>(
-      platform, sched::make_scheduler(scheduler), options);
+      platform, std::move(scheduler), options);
   workflow::submit_workflow(*runtime, workflow::make_montage(10),
                             workflow::CodeletLibrary::standard());
   runtime->wait_all();
   return runtime;
+}
+
+std::unique_ptr<core::Runtime> make_run(const hw::Platform& platform,
+                                        const std::string& scheduler) {
+  return make_run(platform, sched::make_scheduler(scheduler));
 }
 
 TEST(ObsProperty, ChromeTraceSpanTimeEqualsRunStatsBusyTime) {
@@ -234,35 +239,49 @@ TEST(ObsProperty, MetricsSnapshotReconcilesWithRunStats) {
   expect_counters_match_stats(rt, "accounting wave 2");
 }
 
+/// The last logged decision per task names the device the audit says
+/// the task ran on.
+void expect_last_winner_ran_the_task(const core::Runtime& rt,
+                                     const std::string& scheduler) {
+  // Last decision per task wins: pull-mode policies log both the
+  // enqueue-time and the hand-off decision.
+  std::map<std::uint64_t, hw::DeviceId> logged;
+  for (const obs::SchedDecision& d : rt.recorder()->decisions()) {
+    logged[d.task] = d.winner;
+  }
+  ASSERT_FALSE(logged.empty()) << scheduler;
+
+  const check::AuditRecord audit = check::snapshot_audit(rt);
+  std::size_t checked = 0;
+  for (const check::TaskRecord& task : audit.run.tasks) {
+    if (!task.completed) {
+      continue;
+    }
+    const auto it = logged.find(task.id);
+    ASSERT_NE(it, logged.end())
+        << scheduler << " never logged a decision for task " << task.id;
+    EXPECT_EQ(static_cast<std::uint32_t>(it->second), task.device)
+        << scheduler << " decision log winner disagrees with the audit "
+        << "for task " << task.id << " (" << task.name << ")";
+    ++checked;
+  }
+  EXPECT_EQ(checked, rt.stats().tasks_completed) << scheduler;
+}
+
 TEST(ObsProperty, LastDecisionWinnerIsTheDeviceTheTaskRanOn) {
   const hw::Platform p = hw::make_workstation();
   for (const char* scheduler : kSchedulers) {
-    const std::unique_ptr<core::Runtime> run = make_run(p, scheduler);
-    core::Runtime& rt = *run;
-
-    // Last decision per task wins: pull-mode policies log both the
-    // enqueue-time and the hand-off decision.
-    std::map<std::uint64_t, hw::DeviceId> logged;
-    for (const obs::SchedDecision& d : rt.recorder()->decisions()) {
-      logged[d.task] = d.winner;
-    }
-    ASSERT_FALSE(logged.empty()) << scheduler;
-
-    const check::AuditRecord audit = check::snapshot_audit(rt);
-    std::size_t checked = 0;
-    for (const check::TaskRecord& task : audit.run.tasks) {
-      if (!task.completed) {
-        continue;
-      }
-      const auto it = logged.find(task.id);
-      ASSERT_NE(it, logged.end())
-          << scheduler << " never logged a decision for task " << task.id;
-      EXPECT_EQ(static_cast<std::uint32_t>(it->second), task.device)
-          << scheduler << " decision log winner disagrees with the audit "
-          << "for task " << task.id << " (" << task.name << ")";
-      ++checked;
-    }
-    EXPECT_EQ(checked, rt.stats().tasks_completed) << scheduler;
+    expect_last_winner_ran_the_task(*make_run(p, scheduler), scheduler);
+  }
+  // Inner policies under cluster placement log through a per-node view
+  // whose device ids start at 0 on every node; the log must carry the
+  // flat ids the tasks ran on.
+  const hw::Cluster cluster = hw::make_hpc_cluster(4, 2, 1);
+  for (const char* inner : {"dmda", "work-stealing"}) {
+    expect_last_winner_ran_the_task(
+        *make_run(cluster.platform(),
+                  sched::make_cluster_scheduler(cluster, inner)),
+        std::string("cluster:") + inner);
   }
 }
 
