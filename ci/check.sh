@@ -231,7 +231,8 @@ coverage_floor hf_obs src/obs/ 90 \
 coverage_floor hf_sched src/sched/ 95 \
     sched_policies_test sched_heft_test sched_cpop_test sched_peft_test \
     sched_property_test sched_golden_test sched_placement_test \
-    cluster_determinism_test cluster_placement_test core_memo_test
+    sched_feasibility_test cluster_determinism_test cluster_placement_test \
+    core_memo_test
 coverage_floor hf_data src/data/ 90 \
     data_handle_test data_transfer_test data_coherence_test \
     data_manager_test data_eviction_test core_prefetch_test \

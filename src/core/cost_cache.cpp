@@ -38,16 +38,14 @@ CostModelCache::Entry* CostModelCache::fill_row(const Codelet& codelet) {
   const std::uint32_t row = static_cast<std::uint32_t>(entries_.size());
   for (const hw::Device& device : devices) {
     Entry entry;
-    entry.supported = codelet.supports(device.type());
-    if (entry.supported) {
+    entry.fit = DeviceFit::of(codelet, device, *platform_);
+    if (entry.fit.implemented) {
       // Exact evaluation order of Codelet::compute_seconds' denominator:
       // (peak_gflops * 1e9) * efficiency.
       entry.denom = device.peak_gflops() * 1e9 *
                     codelet.efficiency(device.type());
     }
     entry.launch_overhead_s = device.launch_overhead_s();
-    entry.capacity_bytes =
-        platform_->memory_node(device.memory_node()).capacity_bytes();
     entry.nominal_dvfs =
         static_cast<std::uint32_t>(device.nominal_dvfs_index());
     entries_.push_back(entry);

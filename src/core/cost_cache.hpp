@@ -34,7 +34,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/codelet.hpp"
+#include "core/task.hpp"
 #include "hw/platform.hpp"
 #include "perf/history_model.hpp"
 
@@ -44,7 +44,7 @@ class CostModelCache {
  public:
   struct Entry {
     /// peak_gflops * 1e9 * efficiency — the exact denominator
-    /// Codelet::compute_seconds divides by. Valid only when supported.
+    /// Codelet::compute_seconds divides by. Valid only when implemented.
     double denom = 0.0;
     double launch_overhead_s = 0.0;
     /// Calibrated mean seconds-per-flop, negative when uncalibrated
@@ -52,9 +52,8 @@ class CostModelCache {
     double hist_spf = -1.0;
     /// HistoryModel::version() at which hist_spf was snapshotted.
     std::uint64_t hist_gen = kNeverRefreshed;
-    std::uint64_t capacity_bytes = 0;
     std::uint32_t nominal_dvfs = 0;
-    bool supported = false;
+    DeviceFit fit;
   };
 
   /// Binds the cache to a platform. Entries are filled lazily per
@@ -72,7 +71,7 @@ class CostModelCache {
                      const perf::HistoryModel* history) {
     Entry* row = find_row(codelet);
     Entry& slot = row[device.id()];
-    if (history != nullptr && slot.supported &&
+    if (history != nullptr && slot.fit.implemented &&
         slot.hist_gen != history->version()) {
       slot.hist_spf = history->seconds_per_flop(codelet.id(), device.type());
       slot.hist_gen = history->version();
@@ -88,9 +87,6 @@ class CostModelCache {
   /// dropping the memo on each transition keeps the contract simple and
   /// future-proofs any entry field that starts depending on health.
   void invalidate();
-
-  /// Codelets currently cached (observability / tests).
-  std::size_t cached_codelets() const noexcept { return filled_; }
 
   /// Times invalidate() has run since construction (observability /
   /// tests — regression coverage that health transitions drop the memo).

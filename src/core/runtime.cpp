@@ -296,22 +296,16 @@ TaskId Runtime::submit(std::string_view name, CodeletPtr codelet, double flops,
           "' after unpartition");
     }
   }
-  // The task must be runnable somewhere on this platform: on a device
-  // the codelet supports whose memory can hold the whole working set
-  // (exec_estimate rules out every other device).
-  bool supported = false;
+  // The task must be runnable on some device class (DeviceFit::admits).
+  bool implemented = false;
   bool fits = false;
-  for (const hw::Device& device : platform_->devices()) {
-    if (codelet->supports(device.type())) {
-      supported = true;
-      if (working_set <=
-          platform_->memory_node(device.memory_node()).capacity_bytes()) {
-        fits = true;
-        break;
-      }
-    }
+  for (const hw::DeviceClass& members : platform_->device_classes()) {
+    const DeviceFit fit =
+        DeviceFit::of(*codelet, platform_->device(members.front()), *platform_);
+    implemented = implemented || fit.implemented;
+    fits = fits || fit.admits(working_set);
   }
-  if (!supported) {
+  if (!implemented) {
     throw InvalidArgument("codelet '" + codelet->name() +
                           "' runs on no device of platform '" +
                           platform_->name() + "'");
@@ -553,8 +547,8 @@ void Runtime::internal_assign(Task& task, const hw::Device& device,
                               std::optional<std::size_t> dvfs) {
   HETFLOW_REQUIRE_MSG(task.state() == TaskState::Ready,
                       "assign() on a task that is not Ready");
-  HETFLOW_REQUIRE_MSG(task.codelet().supports(device.type()),
-                      "assigned task to a device type without implementation");
+  HETFLOW_REQUIRE_MSG(can_run(task, device, *platform_),
+                      "assigned task to a device that cannot run it");
   if (dvfs.has_value()) {
     HETFLOW_REQUIRE_MSG(*dvfs < device.dvfs_states().size(),
                         "DVFS index out of range");
@@ -1391,12 +1385,7 @@ double Runtime::exec_estimate(const Task& task, const hw::Device& device,
   const CostModelCache::Entry& entry = cost_cache_.entry(
       task.codelet(), device,
       options_.use_history_model ? &history_ : nullptr);
-  if (!entry.supported) {
-    return std::numeric_limits<double>::infinity();
-  }
-  if (task.working_set_bytes() > entry.capacity_bytes) {
-    // Even an empty device memory cannot hold the working set: not a
-    // feasible target, and cost-model policies route around it.
+  if (!entry.fit.admits(task.working_set_bytes())) {
     return std::numeric_limits<double>::infinity();
   }
   double pure = 0.0;

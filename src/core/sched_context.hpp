@@ -30,7 +30,8 @@ class SchedContext {
   /// Estimated wall time of `task` on `device` at DVFS point `dvfs`
   /// (nominal when omitted), including launch overhead, excluding data
   /// movement and queueing. Uses the calibrated history when available,
-  /// else the codelet's analytic model. +inf when unsupported.
+  /// else the codelet's analytic model. +inf when the task cannot run on
+  /// the device (core::can_run).
   ///
   /// Cost: the per-(codelet, device) model terms behind this call (and
   /// estimate_completion / estimate_energy, which derive from it) are

@@ -11,6 +11,7 @@
 #include "core/codelet.hpp"
 #include "data/access.hpp"
 #include "hw/device.hpp"
+#include "hw/platform.hpp"
 #include "sim/event_queue.hpp"
 #include "util/small_vector.hpp"
 
@@ -60,7 +61,6 @@ class Task {
   TaskId id() const noexcept { return id_; }
   std::string_view name() const noexcept { return name_; }
   const Codelet& codelet() const noexcept { return *codelet_; }
-  const CodeletPtr& codelet_ptr() const noexcept { return codelet_; }
   double flops() const noexcept { return flops_; }
   std::span<const data::Access> accesses() const noexcept {
     return {accesses_.data(), accesses_.size()};
@@ -136,5 +136,33 @@ class Task {
   std::optional<std::size_t> dvfs_;
   std::uint32_t attempts_ = 0;
 };
+
+/// What the feasibility rule reads of one (codelet, device) pair. Both
+/// facts are DeviceClass key fields (device type, memory node), so every
+/// member of a class gives the same answer.
+struct DeviceFit {
+  bool implemented = false;          ///< the codelet runs on the type
+  std::uint64_t capacity_bytes = 0;  ///< of the device's memory node
+
+  static DeviceFit of(const Codelet& codelet, const hw::Device& device,
+                      const hw::Platform& platform) {
+    return {codelet.supports(device.type()),
+            platform.memory_node(device.memory_node()).capacity_bytes()};
+  }
+
+  /// The feasibility rule, defined here once: a task can run on a device
+  /// when its codelet implements the device's type and the device's
+  /// memory can hold the task's whole working set.
+  bool admits(std::uint64_t working_set_bytes) const noexcept {
+    return implemented && working_set_bytes <= capacity_bytes;
+  }
+};
+
+/// True when `task` can run on `device` of `platform` (DeviceFit::admits).
+inline bool can_run(const Task& task, const hw::Device& device,
+                    const hw::Platform& platform) {
+  return DeviceFit::of(task.codelet(), device, platform)
+      .admits(task.working_set_bytes());
+}
 
 }  // namespace hetflow::core

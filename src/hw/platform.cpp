@@ -179,12 +179,14 @@ bool same_class(const Device& a, const Device& b) {
 
 void Platform::compute_classes() {
   classes_.clear();
+  class_of_.clear();
   for (const Device& d : devices_) {
     const auto home =
         std::find_if(classes_.begin(), classes_.end(),
                      [&](const DeviceClass& c) {
                        return same_class(devices_[c.front()], d);
                      });
+    class_of_.push_back(static_cast<std::size_t>(home - classes_.begin()));
     if (home != classes_.end()) {
       home->push_back(d.id());
     } else {

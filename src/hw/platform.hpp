@@ -66,6 +66,8 @@ class Platform {
   const std::vector<DeviceClass>& device_classes() const noexcept {
     return classes_;
   }
+  /// Index into device_classes() of the class holding device `id`.
+  std::size_t class_of(DeviceId id) const noexcept { return class_of_[id]; }
 
   /// Sum of peak_gflops over all devices (capacity upper bound used by
   /// area/throughput lower-bound computations).
@@ -89,6 +91,7 @@ class Platform {
   std::vector<std::vector<LinkId>> routes_;
   bool fully_connected_ = true;
   std::vector<DeviceClass> classes_;
+  std::vector<std::size_t> class_of_;  // device id -> index in classes_
 
   void compute_routes();
   void compute_classes();

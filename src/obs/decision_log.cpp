@@ -7,10 +7,21 @@ namespace hetflow::obs {
 
 std::string decisions_to_jsonl(const std::vector<SchedDecision>& decisions,
                                const hw::Platform& platform) {
-  // Each device name is escaped once here, not once per candidate row.
+  // Each device name, and each class's member list, is escaped once
+  // here, not once per candidate row.
   std::vector<std::string> device_names(platform.device_count());
+  std::vector<std::string> alone(platform.device_count());
   for (hw::DeviceId d = 0; d < platform.device_count(); ++d) {
     util::append_json_string(device_names[d], platform.device(d).name());
+    alone[d] = "[" + device_names[d] + "]";
+  }
+  std::vector<std::string> members;  // per class
+  for (const hw::DeviceClass& c : platform.device_classes()) {
+    std::string& list = members.emplace_back("[");
+    for (const hw::DeviceId id : c) {
+      list += (id == c.front() ? "" : ",") + device_names[id];
+    }
+    list += "]";
   }
   // Keys in sorted order, as JsonWriter::key() requires.
   util::JsonWriter out(0);
@@ -19,12 +30,18 @@ std::string decisions_to_jsonl(const std::vector<SchedDecision>& decisions,
     out.key("candidates").begin_array();
     for (const DecisionCandidate& c : d.candidates) {
       out.begin_object();
-      if (c.blacklisted) {
-        out.key("blacklisted").boolean(true);
-      }
-      out.key("device").raw(device_names.at(c.device));
+      out.key("devices").raw(c.single_device
+                                 ? alone.at(c.device)
+                                 : members[platform.class_of(c.device)]);
       out.key("energy_j").number(c.predicted_energy_j);
       out.key("finish_s").number(c.predicted_finish_s);
+      if (!c.quarantined.empty()) {
+        out.key("quarantined").begin_array();
+        for (const hw::DeviceId id : c.quarantined) {
+          out.raw(device_names.at(id));
+        }
+        out.end_array();
+      }
       out.end_object();
     }
     out.end_array();

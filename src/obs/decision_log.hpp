@@ -1,7 +1,7 @@
 // Scheduler decision log: one record per placement decision, capturing
-// what the policy saw (candidate devices with predicted finish/energy),
-// what it chose, and why. Serialized as JSONL (one compact JSON object
-// per line) so logs stream and diff cleanly.
+// what the policy saw (one row per scored device class, with predicted
+// finish and energy), what it chose, and why. Serialized as JSONL (one
+// compact JSON object per line) so logs stream and diff cleanly.
 //
 // Pull-mode policies (work stealing) log a record at enqueue time and
 // another when the task is actually handed to a device, so the LAST
@@ -20,13 +20,18 @@
 namespace hetflow::obs {
 
 struct DecisionCandidate {
+  /// The scored device class, named by its lowest member; the log lists
+  /// every member (hw::Platform::device_classes()). Just this device
+  /// when `single_device`.
   hw::DeviceId device = 0;
-  /// Predicted absolute completion time (scheduler's own estimate).
+  /// Predicted absolute completion time (scheduler's own estimate): for
+  /// a class, the minimum over the members it scored.
   double predicted_finish_s = 0.0;
-  /// Predicted Joules on this candidate.
+  /// Predicted Joules, one value for the whole class.
   double predicted_energy_j = 0.0;
-  /// Candidate was quarantined by the health tracker when considered.
-  bool blacklisted = false;
+  /// Members quarantined by the health tracker when scored.
+  std::vector<hw::DeviceId> quarantined;
+  bool single_device = false;
 };
 
 struct SchedDecision {
@@ -42,7 +47,8 @@ struct SchedDecision {
   std::string reason;
 };
 
-/// One compact JSON object per decision, device ids resolved to names.
+/// One compact JSON object per decision, device ids resolved to names
+/// and each class row to its members' names.
 std::string decisions_to_jsonl(const std::vector<SchedDecision>& decisions,
                                const hw::Platform& platform);
 

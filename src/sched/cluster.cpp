@@ -65,6 +65,9 @@ class ClusterScheduler::NodeContext final : public core::SchedContext {
     decision.winner += first_device_;
     for (obs::DecisionCandidate& candidate : decision.candidates) {
       candidate.device += first_device_;
+      for (hw::DeviceId& id : candidate.quarantined) {
+        id += first_device_;
+      }
     }
     parent_->record_decision(std::move(decision));
   }
@@ -119,7 +122,6 @@ ClusterScheduler::ClusterScheduler(const hw::Cluster& cluster,
   node_count_.assign(cluster.node_count(), 0);
   words_per_datum_ = (cluster.node_count() + 63) / 64;
   candidates_.reserve(cluster.node_count());
-  est_.assign(cluster.node_count(), 0.0);
 }
 
 ClusterScheduler::~ClusterScheduler() = default;
@@ -163,15 +165,28 @@ bool ClusterScheduler::node_usable(std::size_t n) const {
   return false;
 }
 
+bool ClusterScheduler::node_runs(const core::Task& task, std::size_t n) const {
+  const hw::Platform& local = cluster_->node_platform(n);
+  return std::any_of(local.device_classes().begin(),
+                     local.device_classes().end(),
+                     [&](const hw::DeviceClass& members) {
+                       return core::can_run(
+                           task, local.device(members.front()), local);
+                     });
+}
+
 double ClusterScheduler::est_exec_on(const core::Task& task,
                                      std::size_t n) const {
   // The execution estimate is one value per device class, so one member
-  // of each of the node's classes stands for the rest. Infinite when no
-  // device on the node can run the task.
+  // of each of the node's classes that can run the task stands for the
+  // rest.
+  const hw::Platform& local = cluster_->node_platform(n);
   const hw::DeviceId first = cluster_->node(n).first_device;
   double best = std::numeric_limits<double>::infinity();
-  for (const hw::DeviceClass& members :
-       cluster_->node_platform(n).device_classes()) {
+  for (const hw::DeviceClass& members : local.device_classes()) {
+    if (!core::can_run(task, local.device(members.front()), local)) {
+      continue;
+    }
     const hw::Device& device = ctx().platform().device(
         static_cast<hw::DeviceId>(first + members.front()));
     best = std::min(best, ctx().estimate_exec_seconds(task, device));
@@ -248,32 +263,27 @@ double ClusterScheduler::transfer_cost_s(std::size_t n) const {
 
 std::size_t ClusterScheduler::choose_node(const core::Task& task,
                                           double& est) {
-  // Candidates: usable nodes that can run the task. A node with no
-  // device for the codelet (or none whose memory holds its working set)
-  // has an infinite estimate and is never a candidate.
+  // Candidates: nodes with a device class that can run the task, minus
+  // those with every device quarantined — unless that leaves none; then
+  // all capable nodes stay (mirrors dmda's two-pass fallback: stragglers
+  // wait out probation rather than stall). Only scored nodes are
+  // estimated.
   candidates_.clear();
   for (std::size_t n = 0; n < cluster_->node_count(); ++n) {
-    est_[n] = est_exec_on(task, n);
-    if (std::isfinite(est_[n]) && node_usable(n)) {
+    if (node_runs(task, n)) {
       candidates_.push_back(n);
-    }
-  }
-  if (candidates_.empty()) {
-    // Every capable node quarantined: fall back to all of them (mirrors
-    // dmda's two-pass fallback — stragglers wait out probation rather
-    // than stall).
-    for (std::size_t n = 0; n < cluster_->node_count(); ++n) {
-      if (std::isfinite(est_[n])) {
-        candidates_.push_back(n);
-      }
     }
   }
   HETFLOW_REQUIRE_MSG(!candidates_.empty(),
                       "cluster placement: no node can run the task");
+  const auto quarantined = [this](std::size_t n) { return !node_usable(n); };
+  if (!std::all_of(candidates_.begin(), candidates_.end(), quarantined)) {
+    std::erase_if(candidates_, quarantined);
+  }
   if (policy_ == PlacementPolicy::RoundRobin) {
     const std::size_t pick = candidates_[next_node_ % candidates_.size()];
     ++next_node_;
-    est = est_[pick];
+    est = est_exec_on(task, pick);
     return pick;
   }
   // Balance cap (delay-scheduling style): only nodes within a small
@@ -290,21 +300,23 @@ std::size_t ClusterScheduler::choose_node(const core::Task& task,
   // Each input's replicas, predicted home and planned row are looked up
   // once here; the score below reads only that table.
   resolve_inputs(task);
+  // The emptiest node is always within the cap, so a pick is scored.
   std::size_t pick = candidates_.front();
   double best = std::numeric_limits<double>::infinity();
   for (const std::size_t n : candidates_) {
     if (node_count_[n] > min_count + kBalanceSlack) {
       continue;
     }
-    const double score = transfer_cost_s(n) + est_[n] + node_load_s_[n];
+    const double exec = est_exec_on(task, n);
+    const double score = transfer_cost_s(n) + exec + node_load_s_[n];
     // Strict less-than: ties break toward the lowest node id, keeping
     // placement deterministic across runs and thread counts.
     if (score < best) {
       best = score;
       pick = n;
+      est = exec;
     }
   }
-  est = est_[pick];
   return pick;
 }
 

@@ -79,6 +79,8 @@ class ClusterScheduler final : public core::Scheduler {
   };
 
   bool node_usable(std::size_t n) const;
+  /// True when a device class of node `n` can run `task` (core::can_run).
+  bool node_runs(const core::Task& task, std::size_t n) const;
   double est_exec_on(const core::Task& task, std::size_t n) const;
   void resolve_inputs(const core::Task& task);
   double transfer_cost_s(std::size_t n) const;
@@ -126,7 +128,6 @@ class ClusterScheduler final : public core::Scheduler {
   std::size_t next_node_ = 0;        ///< round-robin cursor
   // Per-task scratch, kept so placement allocates nothing per task.
   std::vector<std::size_t> candidates_;
-  std::vector<double> est_;  ///< per node, for the task being placed
   std::vector<Input> inputs_;
   std::vector<std::size_t> replica_nodes_;
 };

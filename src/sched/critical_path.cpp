@@ -6,6 +6,12 @@
 
 namespace hetflow::sched {
 
+void CriticalPathScheduler::attach(core::SchedContext& ctx) {
+  Scheduler::attach(ctx);
+  buckets_.attach(ctx.platform());
+  queued_ = 0;
+}
+
 void CriticalPathScheduler::prepare(
     const std::vector<core::Task*>& all_tasks) {
   if (all_tasks.empty()) {
@@ -19,25 +25,21 @@ void CriticalPathScheduler::prepare(
 }
 
 void CriticalPathScheduler::on_task_ready(core::Task& task) {
-  ready_.push(&task);
+  buckets_.of(task).push(&task);
+  ++queued_;
 }
 
 core::Task* CriticalPathScheduler::on_device_idle(const hw::Device& device) {
-  // Highest-priority runnable task; skipped tasks go back afterwards.
-  std::vector<core::Task*> skipped;
-  core::Task* chosen = nullptr;
-  while (!ready_.empty()) {
-    core::Task* task = ready_.top();
-    ready_.pop();
-    if (task->codelet().supports(device.type())) {
-      chosen = task;
-      break;
-    }
-    skipped.push_back(task);
+  ReadyQueue* ready = buckets_.first_for(
+      device, [](const ReadyQueue& a, const ReadyQueue& b) {
+        return LowerRank{}(b.top(), a.top());
+      });
+  if (ready == nullptr) {
+    return nullptr;
   }
-  for (core::Task* task : skipped) {
-    ready_.push(task);
-  }
+  core::Task* chosen = ready->top();
+  ready->pop();
+  --queued_;
   return chosen;
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "sched/class_buckets.hpp"
 
 namespace hetflow::sched {
 
@@ -16,10 +17,11 @@ class CriticalPathScheduler final : public core::Scheduler {
  public:
   std::string name() const override { return "critical-path"; }
 
+  void attach(core::SchedContext& ctx) override;
   void prepare(const std::vector<core::Task*>& all_tasks) override;
   void on_task_ready(core::Task& task) override;
   core::Task* on_device_idle(const hw::Device& device) override;
-  bool has_retained_work() const noexcept override { return !ready_.empty(); }
+  bool has_retained_work() const noexcept override { return queued_ > 0; }
 
  private:
   struct LowerRank {
@@ -30,8 +32,12 @@ class CriticalPathScheduler final : public core::Scheduler {
       return a->id() > b->id();
     }
   };
-  std::priority_queue<core::Task*, std::vector<core::Task*>, LowerRank>
-      ready_;
+  using ReadyQueue =
+      std::priority_queue<core::Task*, std::vector<core::Task*>, LowerRank>;
+  /// Ready tasks split by the classes that can run them: the
+  /// highest-rank task a device can run tops one of its class's buckets.
+  ClassBuckets<ReadyQueue> buckets_;
+  std::size_t queued_ = 0;
 };
 
 }  // namespace hetflow::sched

@@ -1,49 +1,50 @@
 #include "sched/eager.hpp"
 
-#include <algorithm>
-
 #include "util/prefetch.hpp"
 
 namespace hetflow::sched {
 
+void EagerScheduler::attach(core::SchedContext& ctx) {
+  Scheduler::attach(ctx);
+  buckets_.attach(ctx.platform());
+  queued_ = 0;
+}
+
 void EagerScheduler::on_task_ready(core::Task& task) {
-  fifo_.push_back(&task);
+  buckets_.of(task).items.emplace_back(arrivals_++, &task);
+  ++queued_;
 }
 
 core::Task* EagerScheduler::on_device_idle(const hw::Device& device) {
-  if (head_ == fifo_.size()) {
+  if (queued_ == 0) {
     return nullptr;
   }
-  core::Task* picked = nullptr;
-  // Fast path: the head of the queue runs here (always true on uniform
-  // platforms, the million-task regime). Same pick as the scan below.
-  if (fifo_[head_]->codelet().supports(device.type())) {
-    picked = fifo_[head_];
-    ++head_;
-  } else {
-    for (std::size_t i = head_ + 1; i < fifo_.size(); ++i) {
-      if (fifo_[i]->codelet().supports(device.type())) {
-        picked = fifo_[i];
-        fifo_.erase(fifo_.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-    }
+  Fifo* fifo = buckets_.first_for(device, [](const Fifo& a, const Fifo& b) {
+    return a.items[a.head].first < b.items[b.head].first;
+  });
+  if (fifo == nullptr) {
+    return nullptr;
   }
+  core::Task* picked = fifo->items[fifo->head++].second;
+  --queued_;
   // The runtime dispatches the picked task immediately and pulls again
   // for the next idle device within the same pump, so the next entry's
   // Task object (scattered in the pool) is wanted ~one dispatch from
   // now — far enough out for a prefetch to hide the miss.
-  if (head_ < fifo_.size()) {
-    util::prefetch_range_read(fifo_[head_], sizeof(core::Task));
+  if (!fifo->empty()) {
+    util::prefetch_range_read(fifo->items[fifo->head].second,
+                              sizeof(core::Task));
   }
   // Trim the consumed prefix once it dominates the buffer (amortized
-  // O(1)); resetting outright when the queue drains is the common case.
-  if (head_ == fifo_.size()) {
-    fifo_.clear();
-    head_ = 0;
-  } else if (head_ >= 1024 && head_ * 2 >= fifo_.size()) {
-    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
+  // O(1)); resetting outright when the bucket drains is the common case.
+  if (fifo->empty()) {
+    fifo->items.clear();
+    fifo->head = 0;
+  } else if (fifo->head >= 1024 && fifo->head * 2 >= fifo->items.size()) {
+    fifo->items.erase(fifo->items.begin(),
+                      fifo->items.begin() +
+                          static_cast<std::ptrdiff_t>(fifo->head));
+    fifo->head = 0;
   }
   return picked;
 }

@@ -24,9 +24,6 @@ class TaskGraphView {
   const util::Digraph& graph() const noexcept { return graph_; }
   std::size_t size() const noexcept { return tasks_.size(); }
 
-  /// Mean finite execution estimate across devices, per task index.
-  const std::vector<double>& mean_exec() const noexcept { return mean_exec_; }
-
   /// Bytes flowing over dependency edge a -> b (0 if none recorded).
   std::uint64_t edge_bytes(std::size_t a, std::size_t b) const;
 

@@ -1,11 +1,8 @@
 // Shared mechanics of the dynamic push policies: the greedy
 // min-completion placement behind mct, dmda and dmdas, which scores one
-// device class at a time, and the decision record every logging policy
-// writes.
+// device class at a time.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <string>
@@ -17,17 +14,6 @@
 
 namespace hetflow::sched {
 
-/// Appends one scheduler decision: `winner` chosen for `task` among
-/// `candidates`, by `scheduler` for `reason`. Observability must be on.
-inline void record_decision(core::SchedContext& ctx, const core::Task& task,
-                            std::string scheduler,
-                            std::vector<obs::DecisionCandidate> candidates,
-                            hw::DeviceId winner, std::string reason) {
-  ctx.record_decision({task.id(), task.name(), ctx.now(),
-                       std::move(scheduler), std::move(candidates), winner,
-                       std::move(reason)});
-}
-
 /// Assigns `task` to the device with the smallest estimated completion
 /// (the lowest id among equal minima) and logs the decision when
 /// observability is on. `data_aware` scores
@@ -37,17 +23,18 @@ inline void record_decision(core::SchedContext& ctx, const core::Task& task,
 /// serializes it behind the probation timer — unless every eligible
 /// device is quarantined; then all are considered.
 ///
-/// The loop walks Platform::device_classes(). Within a class the
-/// execution estimate is one value and completion is non-decreasing in
-/// availability (see SchedContext::estimate_completion), so the class
-/// minimum lies at its earliest-available member, `rep`, which is the
-/// one completion estimated. Members after `rep` cannot beat it, and a
-/// member before it can tie only if its availability + exec <= rep's
-/// completion, since completion is never below that; only those are
-/// estimated too. Ties across classes go to the lower id. With a
-/// recorder every eligible member is estimated and the candidates are
-/// logged in device-id order, one row per device. The metrics-off path
-/// allocates nothing.
+/// The loop walks the Platform::device_classes() that can run the task
+/// (core::can_run). Within a class the execution estimate is one value
+/// and completion is non-decreasing in availability (see
+/// SchedContext::estimate_completion), so the class minimum lies at its
+/// earliest-available member, `rep`, which is the one completion
+/// estimated. Members after `rep` cannot beat it, and a member before it
+/// can tie only if its availability + exec <= rep's completion, since
+/// completion is never below that; only those are estimated too. Ties go
+/// to the lower id. A recorder changes nothing the walk estimates: it
+/// logs one row per scored class with the class minimum, one energy
+/// value and the quarantined members. The metrics-off path allocates
+/// nothing.
 inline void assign_min_completion(core::SchedContext& ctx, core::Task& task,
                                   const char* scheduler, const char* reason,
                                   bool data_aware) {
@@ -59,6 +46,9 @@ inline void assign_min_completion(core::SchedContext& ctx, core::Task& task,
   for (const bool skip_blacklisted : {true, false}) {
     candidates.clear();
     for (const hw::DeviceClass& members : platform.device_classes()) {
+      if (!core::can_run(task, platform.device(members.front()), platform)) {
+        continue;
+      }
       const hw::Device* rep = nullptr;
       sim::SimTime rep_avail = 0.0;
       for (const hw::DeviceId id : members) {
@@ -87,42 +77,43 @@ inline void assign_min_completion(core::SchedContext& ctx, core::Task& task,
                           : avail + *exec;
       };
       const double rep_finish = completion(*rep, rep_avail);
-      if (!std::isfinite(rep_finish)) {
-        continue;
-      }
+      const hw::Device* pick = rep;
+      double finish = rep_finish;
       for (const hw::DeviceId id : members) {
-        if (recorder == nullptr && id > rep->id()) {
+        if (id >= rep->id()) {
           break;
         }
         const hw::Device& device = platform.device(id);
-        const bool blacklisted = ctx.device_blacklisted(device);
-        if (skip_blacklisted && blacklisted) {
+        if (skip_blacklisted && ctx.device_blacklisted(device)) {
           continue;
         }
-        double finish = rep_finish;
-        if (&device != rep) {
-          const sim::SimTime avail = ctx.device_available_at(device);
-          if (recorder == nullptr) {
-            if (!exec) {
-              exec = ctx.estimate_exec_seconds(task, *rep);
-            }
-            if (avail + *exec > rep_finish) {
-              continue;
-            }
-          }
-          finish = completion(device, avail);
-          if (!std::isfinite(finish)) {
-            continue;
-          }
+        const sim::SimTime avail = ctx.device_available_at(device);
+        if (!exec) {
+          exec = ctx.estimate_exec_seconds(task, *rep);
         }
-        if (recorder != nullptr) {
-          candidates.push_back({id, finish, ctx.estimate_energy(task, device),
-                                blacklisted});
+        if (avail + *exec > rep_finish) {
+          continue;
         }
-        if (finish < best_completion ||
-            (finish == best_completion && id < best->id())) {
-          best_completion = finish;
-          best = &device;
+        const double tie = completion(device, avail);
+        if (tie < finish || (tie == finish && id < pick->id())) {
+          finish = tie;
+          pick = &device;
+        }
+      }
+      if (best == nullptr || finish < best_completion ||
+          (finish == best_completion && pick->id() < best->id())) {
+        best_completion = finish;
+        best = pick;
+      }
+      if (recorder != nullptr) {
+        obs::DecisionCandidate& row = candidates.emplace_back();
+        row.device = members.front();
+        row.predicted_finish_s = finish;
+        row.predicted_energy_j = ctx.estimate_energy(task, *pick);
+        for (const hw::DeviceId id : members) {
+          if (ctx.device_blacklisted(platform.device(id))) {
+            row.quarantined.push_back(id);
+          }
         }
       }
     }
@@ -133,13 +124,8 @@ inline void assign_min_completion(core::SchedContext& ctx, core::Task& task,
   HETFLOW_REQUIRE_MSG(best != nullptr,
                       std::string(scheduler) + ": no eligible device");
   if (recorder != nullptr) {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const obs::DecisionCandidate& a,
-                 const obs::DecisionCandidate& b) {
-                return a.device < b.device;
-              });
-    record_decision(ctx, task, scheduler, std::move(candidates),
-                    best->id(), reason);
+    ctx.record_decision({task.id(), task.name(), ctx.now(), scheduler,
+                         std::move(candidates), best->id(), reason});
   }
   ctx.assign(task, *best);
 }

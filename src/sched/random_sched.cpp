@@ -5,9 +5,10 @@
 namespace hetflow::sched {
 
 void RandomScheduler::on_task_ready(core::Task& task) {
+  const hw::Platform& platform = ctx().platform();
   std::vector<const hw::Device*> eligible;
-  for (const hw::Device& device : ctx().platform().devices()) {
-    if (task.codelet().supports(device.type())) {
+  for (const hw::Device& device : platform.devices()) {
+    if (core::can_run(task, device, platform)) {
       eligible.push_back(&device);
     }
   }

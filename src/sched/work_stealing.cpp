@@ -1,8 +1,8 @@
 #include "sched/work_stealing.hpp"
 
+#include <algorithm>
 #include <limits>
 
-#include "sched/placement.hpp"
 #include "util/strings.hpp"
 
 namespace hetflow::sched {
@@ -17,11 +17,16 @@ void log_placement(core::SchedContext& ctx, const core::Task& task,
   if (ctx.recorder() == nullptr) {
     return;
   }
-  record_decision(ctx, task, "work-stealing",
-                  {{device.id(), ctx.estimate_completion(task, device),
-                    ctx.estimate_energy(task, device),
-                    ctx.device_blacklisted(device)}},
-                  device.id(), std::move(reason));
+  obs::DecisionCandidate row{device.id(),
+                             ctx.estimate_completion(task, device),
+                             ctx.estimate_energy(task, device),
+                             {},
+                             /*single_device=*/true};
+  if (ctx.device_blacklisted(device)) {
+    row.quarantined.push_back(device.id());
+  }
+  ctx.record_decision({task.id(), task.name(), ctx.now(), "work-stealing",
+                       {std::move(row)}, device.id(), std::move(reason)});
 }
 
 }  // namespace
@@ -35,8 +40,9 @@ void WorkStealingScheduler::on_task_ready(core::Task& task) {
   const hw::Device* best = nullptr;
   std::uint64_t best_missing = std::numeric_limits<std::uint64_t>::max();
   std::size_t best_queue = 0;
-  for (const hw::Device& device : ctx().platform().devices()) {
-    if (!task.codelet().supports(device.type())) {
+  const hw::Platform& platform = ctx().platform();
+  for (const hw::Device& device : platform.devices()) {
+    if (!core::can_run(task, device, platform)) {
       continue;
     }
     const std::uint64_t missing = ctx().missing_input_bytes(task, device);
@@ -56,10 +62,13 @@ void WorkStealingScheduler::on_task_ready(core::Task& task) {
 }
 
 core::Task* WorkStealingScheduler::on_device_idle(const hw::Device& device) {
+  const auto runs_here = [&](const core::Task* task) {
+    return core::can_run(*task, device, ctx().platform());
+  };
   std::deque<core::Task*>& own = deques_[device.id()];
   // Own work first (front — oldest, inputs most likely resident by now).
   for (auto it = own.begin(); it != own.end(); ++it) {
-    if ((*it)->codelet().supports(device.type())) {
+    if (runs_here(*it)) {
       core::Task* task = *it;
       own.erase(it);
       log_placement(ctx(), *task, device, "pulled by idle owner");
@@ -74,14 +83,8 @@ core::Task* WorkStealingScheduler::on_device_idle(const hw::Device& device) {
       continue;
     }
     // Victim must hold at least one task this thief can run.
-    bool runnable = false;
-    for (core::Task* task : deques_[d]) {
-      if (task->codelet().supports(device.type())) {
-        runnable = true;
-        break;
-      }
-    }
-    if (runnable && deques_[d].size() > victim_size) {
+    if (deques_[d].size() > victim_size &&
+        std::any_of(deques_[d].begin(), deques_[d].end(), runs_here)) {
       victim = d;
       victim_size = deques_[d].size();
     }
@@ -91,7 +94,7 @@ core::Task* WorkStealingScheduler::on_device_idle(const hw::Device& device) {
   }
   std::deque<core::Task*>& loot = deques_[victim];
   for (auto it = loot.rbegin(); it != loot.rend(); ++it) {
-    if ((*it)->codelet().supports(device.type())) {
+    if (runs_here(*it)) {
       core::Task* task = *it;
       loot.erase(std::next(it).base());
       ++steals_;

@@ -227,8 +227,8 @@ TEST(Recorder, DecisionsMirrorAsInstantEvents) {
   decision.task_name = "gemm";
   decision.time = 1.25;
   decision.scheduler = "dmda";
-  decision.candidates.push_back({0, 2.0, 5.0, false});
-  decision.candidates.push_back({1, 1.5, 9.0, true});
+  decision.candidates.push_back({0, 2.0, 5.0, {}});
+  decision.candidates.push_back({1, 1.5, 9.0, {1}});
   decision.winner = 1;
   decision.reason = "min completion";
   recorder.add_decision(std::move(decision));
@@ -248,7 +248,7 @@ TEST(Recorder, DecisionJsonlResolvesDeviceNames) {
   decision.task_name = "fft";
   decision.time = 0.5;
   decision.scheduler = "mct";
-  decision.candidates.push_back({0, 1.0, 2.0, false});
+  decision.candidates.push_back({0, 1.0, 2.0, {}, true});
   decision.winner = 0;
   decision.reason = "min completion (data-blind)";
   recorder.add_decision(std::move(decision));
@@ -262,8 +262,45 @@ TEST(Recorder, DecisionJsonlResolvesDeviceNames) {
   EXPECT_EQ(line.at("sched").as_string(), "mct");
   EXPECT_EQ(line.at("winner").as_string(), p.device(0).name());
   ASSERT_EQ(line.at("candidates").size(), 1u);
-  EXPECT_EQ(line.at("candidates").as_array()[0].at("device").as_string(),
+  EXPECT_EQ(line.at("candidates").as_array()[0].at("devices").size(), 1u);
+  EXPECT_EQ(line.at("candidates").as_array()[0].at("devices").as_array()[0]
+                .as_string(),
             p.device(0).name());
+}
+
+TEST(Recorder, DecisionJsonlListsEveryMemberOfAClassRow) {
+  // hpc:4,2,0: four identical cores in one class, two GPUs on their own
+  // memory nodes in classes of one.
+  const hw::Platform p = hw::make_hpc_node(4, 2);
+  const hw::DeviceClass& cores = p.device_classes().front();
+  ASSERT_EQ(cores.size(), 4u);
+  Recorder recorder;
+  SchedDecision decision;
+  decision.task = 3;
+  decision.task_name = "dgemm";
+  decision.scheduler = "dmda";
+  decision.candidates.push_back({cores.front(), 1.0, 2.0, {cores[2]}});
+  decision.candidates.push_back({cores[1], 1.5, 3.0, {}, true});
+  decision.winner = cores[1];
+  decision.reason = "min completion";
+  recorder.add_decision(std::move(decision));
+  const util::Json line = util::Json::parse(recorder.decisions_jsonl(p));
+  const util::Json& rows = line.at("candidates");
+  ASSERT_EQ(rows.size(), 2u);
+  const util::Json& whole = rows.as_array()[0];
+  ASSERT_EQ(whole.at("devices").size(), cores.size());
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    EXPECT_EQ(whole.at("devices").as_array()[i].as_string(),
+              p.device(cores[i]).name());
+  }
+  ASSERT_EQ(whole.at("quarantined").size(), 1u);
+  EXPECT_EQ(whole.at("quarantined").as_array()[0].as_string(),
+            p.device(cores[2]).name());
+  const util::Json& single = rows.as_array()[1];
+  ASSERT_EQ(single.at("devices").size(), 1u);
+  EXPECT_EQ(single.at("devices").as_array()[0].as_string(),
+            p.device(cores[1]).name());
+  EXPECT_FALSE(single.contains("quarantined"));
 }
 
 }  // namespace

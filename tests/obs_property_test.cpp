@@ -296,9 +296,18 @@ TEST(ObsProperty, EveryDecisionRecordsFiniteCandidatePredictions) {
       bool winner_is_candidate = false;
       for (const obs::DecisionCandidate& c : d.candidates) {
         EXPECT_TRUE(std::isfinite(c.predicted_finish_s)) << scheduler;
-        if (c.device == d.winner) {
-          winner_is_candidate = true;
+        if (c.single_device) {
+          winner_is_candidate = winner_is_candidate || c.device == d.winner;
+          continue;
         }
+        // A class row names its class by the lowest member and scores
+        // every member.
+        const hw::DeviceClass& members =
+            p.device_classes()[p.class_of(c.device)];
+        EXPECT_EQ(members.front(), c.device) << scheduler;
+        winner_is_candidate =
+            winner_is_candidate ||
+            std::count(members.begin(), members.end(), d.winner) == 1;
       }
       EXPECT_TRUE(winner_is_candidate)
           << scheduler << " chose a device it never scored (task " << d.task

@@ -29,8 +29,11 @@ namespace hetflow::testing {
 /// What the per-device loop decides for one task.
 struct ReferenceDecision {
   hw::DeviceId winner = 0;
-  /// One row per eligible device in id order; filled only when the
-  /// context has a recorder, as the decision log would be.
+  /// One row per device class with a scored member, in class order,
+  /// built from the per-device scores: the class minimum, the energy of
+  /// the lowest-id member reaching it, and the quarantined members.
+  /// Filled only when the context has a recorder, as the decision log
+  /// would be.
   std::vector<obs::DecisionCandidate> candidates;
 };
 
@@ -40,14 +43,14 @@ struct ReferenceDecision {
 /// records. nullopt when no device can run the task.
 inline std::optional<ReferenceDecision> reference_min_completion(
     const core::SchedContext& ctx, const core::Task& task, bool data_aware) {
-  const bool logging = ctx.recorder() != nullptr;
+  const hw::Platform& platform = ctx.platform();
   for (const bool skip_blacklisted : {true, false}) {
     ReferenceDecision out;
+    std::vector<std::optional<double>> scores(platform.device_count());
     const hw::Device* best = nullptr;
     double best_completion = std::numeric_limits<double>::infinity();
-    for (const hw::Device& device : ctx.platform().devices()) {
-      const bool blacklisted = ctx.device_blacklisted(device);
-      if (skip_blacklisted && blacklisted) {
+    for (const hw::Device& device : platform.devices()) {
+      if (skip_blacklisted && ctx.device_blacklisted(device)) {
         continue;
       }
       const double finish =
@@ -57,20 +60,40 @@ inline std::optional<ReferenceDecision> reference_min_completion(
       if (!std::isfinite(finish)) {
         continue;
       }
-      if (logging) {
-        out.candidates.push_back({device.id(), finish,
-                                  ctx.estimate_energy(task, device),
-                                  blacklisted});
-      }
+      scores[device.id()] = finish;
       if (finish < best_completion) {
         best_completion = finish;
         best = &device;
       }
     }
-    if (best != nullptr) {
-      out.winner = best->id();
+    if (best == nullptr) {
+      continue;
+    }
+    out.winner = best->id();
+    if (ctx.recorder() == nullptr) {
       return out;
     }
+    for (const hw::DeviceClass& members : platform.device_classes()) {
+      const hw::Device* low = nullptr;
+      for (const hw::DeviceId id : members) {
+        if (scores[id] && (low == nullptr || *scores[id] < *scores[low->id()])) {
+          low = &platform.device(id);
+        }
+      }
+      if (low == nullptr) {
+        continue;
+      }
+      obs::DecisionCandidate& row = out.candidates.emplace_back();
+      row.device = members.front();
+      row.predicted_finish_s = *scores[low->id()];
+      row.predicted_energy_j = ctx.estimate_energy(task, *low);
+      for (const hw::DeviceId id : members) {
+        if (ctx.device_blacklisted(platform.device(id))) {
+          row.quarantined.push_back(id);
+        }
+      }
+    }
+    return out;
   }
   return std::nullopt;
 }

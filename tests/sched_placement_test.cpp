@@ -63,13 +63,14 @@ std::string diff_decision(const obs::SchedDecision& got,
     if (a.device != b.device || !same_bits(a.predicted_finish_s,
                                            b.predicted_finish_s) ||
         !same_bits(a.predicted_energy_j, b.predicted_energy_j) ||
-        a.blacklisted != b.blacklisted) {
+        a.quarantined != b.quarantined ||
+        a.single_device != b.single_device) {
       return util::format(
-          "candidate %zu: device %u finish %.17g energy %.17g q%d, "
-          "reference device %u finish %.17g energy %.17g q%d",
+          "row %zu: class of %u finish %.17g energy %.17g q%zu, "
+          "reference class of %u finish %.17g energy %.17g q%zu",
           i, a.device, a.predicted_finish_s, a.predicted_energy_j,
-          int{a.blacklisted}, b.device, b.predicted_finish_s,
-          b.predicted_energy_j, int{b.blacklisted});
+          a.quarantined.size(), b.device, b.predicted_finish_s,
+          b.predicted_energy_j, b.quarantined.size());
     }
   }
   return {};
@@ -95,17 +96,24 @@ struct ModelState {
 /// device's class-key fields, data ready as max(earliest, max(earliest,
 /// link_busy) + transfer) — a chain of max and + like
 /// TransferEngine::walk_route — and completion max(avail, ready(avail)) +
-/// exec. It counts the exec and completion estimates asked of it.
+/// exec. It logs the exec and completion estimates asked of it, in
+/// order, and counts the energy estimates apart.
 class ModelContext final : public core::SchedContext {
  public:
   ModelContext(const hw::Platform& platform, ModelState state)
       : platform_(&platform), state_(std::move(state)) {}
 
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
-  std::uint64_t estimates() const noexcept { return estimates_; }
+  /// Exec ('x') and completion ('c') estimates since reset(), in order.
+  const std::vector<std::pair<char, hw::DeviceId>>& calls() const noexcept {
+    return calls_;
+  }
+  std::uint64_t estimates() const noexcept { return calls_.size(); }
+  std::uint64_t energy_estimates() const noexcept { return energy_; }
   std::optional<hw::DeviceId> assigned() const noexcept { return assigned_; }
   void reset() {
-    estimates_ = 0;
+    calls_.clear();
+    energy_ = 0;
     assigned_.reset();
   }
 
@@ -117,7 +125,7 @@ class ModelContext final : public core::SchedContext {
   double estimate_exec_seconds(
       const core::Task& task, const hw::Device& device,
       std::optional<std::size_t> dvfs) const override {
-    ++estimates_;
+    calls_.emplace_back('x', device.id());
     return exec(task, device, dvfs);
   }
   sim::SimTime device_available_at(const hw::Device& device) const override {
@@ -143,7 +151,7 @@ class ModelContext final : public core::SchedContext {
   sim::SimTime estimate_completion(
       const core::Task& task, const hw::Device& device,
       std::optional<std::size_t> dvfs) const override {
-    ++estimates_;
+    calls_.emplace_back('c', device.id());
     const double seconds = exec(task, device, dvfs);
     if (!std::isfinite(seconds)) {
       return kInf;
@@ -154,6 +162,7 @@ class ModelContext final : public core::SchedContext {
   }
   double estimate_energy(const core::Task& task, const hw::Device& device,
                          std::optional<std::size_t> dvfs) const override {
+    ++energy_;
     const double seconds = exec(task, device, dvfs);
     if (!std::isfinite(seconds)) {
       return kInf;
@@ -193,15 +202,19 @@ class ModelContext final : public core::SchedContext {
   ModelState state_;
   data::DataRegistry registry_;
   obs::Recorder* recorder_ = nullptr;
-  mutable std::uint64_t estimates_ = 0;
+  mutable std::vector<std::pair<char, hw::DeviceId>> calls_;
+  mutable std::uint64_t energy_ = 0;
   std::optional<hw::DeviceId> assigned_;
 };
 
 /// Runs the reference and the class walk on `ctx` with the recorder off
-/// and on, and expects the same winner and decision record. Returns the
-/// reference decision, or nullopt (after a failed expectation) when the
-/// task fits no device. `class_estimates` / `reference_estimates`
-/// accumulate the estimate calls of the recorder-off runs.
+/// and on, and expects the same winner and decision record, and the walk
+/// to make the same exec and completion estimates, in the same order,
+/// either way (plus one energy estimate per logged row with the
+/// recorder). Returns the reference decision, or nullopt (after a failed
+/// expectation) when the task fits no device. `class_estimates` /
+/// `reference_estimates` accumulate the estimate calls of the
+/// recorder-off runs.
 std::optional<ReferenceDecision> expect_same_placement(
     ModelContext& ctx, core::Task& task, bool data_aware,
     std::uint64_t* class_estimates = nullptr,
@@ -221,9 +234,11 @@ std::optional<ReferenceDecision> expect_same_placement(
   sched::assign_min_completion(ctx, task, "dmda", "min completion",
                                data_aware);
   EXPECT_EQ(ctx.assigned(), want->winner) << "recorder off";
+  EXPECT_EQ(ctx.energy_estimates(), 0u) << "recorder off";
   if (class_estimates != nullptr) {
     *class_estimates += ctx.estimates();
   }
+  const std::vector<std::pair<char, hw::DeviceId>> unlogged = ctx.calls();
 
   obs::Recorder recorder;
   ctx.set_recorder(&recorder);
@@ -234,7 +249,13 @@ std::optional<ReferenceDecision> expect_same_placement(
                                data_aware);
   ctx.set_recorder(nullptr);
   EXPECT_EQ(ctx.assigned(), want->winner) << "recorder on";
+  EXPECT_TRUE(ctx.calls() == unlogged)
+      << "the recorder changed the walk's estimates";
   EXPECT_EQ(recorder.decisions().size(), 1u);
+  if (recorder.decisions().size() == 1) {
+    EXPECT_EQ(ctx.energy_estimates(),
+              recorder.decisions().front().candidates.size());
+  }
   if (logged && recorder.decisions().size() == 1) {
     const obs::SchedDecision& got = recorder.decisions().front();
     EXPECT_EQ(got.scheduler, "dmda");
@@ -400,9 +421,11 @@ TEST(ClassWalk, AllQuarantinedFallsBackToEveryDevice) {
   ctx.set_recorder(&recorder);
   sched::assign_min_completion(ctx, task, "dmda", "min completion", true);
   ASSERT_EQ(recorder.decisions().size(), 1u);
-  for (const obs::DecisionCandidate& c :
-       recorder.decisions().front().candidates) {
-    EXPECT_TRUE(c.blacklisted) << c.device;
+  const std::vector<obs::DecisionCandidate>& rows =
+      recorder.decisions().front().candidates;
+  ASSERT_EQ(rows.size(), platform.device_classes().size());
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    EXPECT_EQ(rows[c].quarantined, platform.device_classes()[c]);
   }
 }
 
