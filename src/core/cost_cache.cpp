@@ -38,8 +38,10 @@ CostModelCache::Entry* CostModelCache::fill_row(const Codelet& codelet) {
   const std::uint32_t row = static_cast<std::uint32_t>(entries_.size());
   for (const hw::Device& device : devices) {
     Entry entry;
-    entry.fit = DeviceFit::of(codelet, device, *platform_);
-    if (entry.fit.implemented) {
+    const DeviceFit fit = DeviceFit::of(codelet, device, *platform_);
+    entry.capacity_bytes = fit.capacity_bytes;
+    entry.implemented = fit.implemented;
+    if (entry.implemented) {
       // Exact evaluation order of Codelet::compute_seconds' denominator:
       // (peak_gflops * 1e9) * efficiency.
       entry.denom = device.peak_gflops() * 1e9 *

@@ -52,8 +52,12 @@ class CostModelCache {
     double hist_spf = -1.0;
     /// HistoryModel::version() at which hist_spf was snapshotted.
     std::uint64_t hist_gen = kNeverRefreshed;
+    /// DeviceFit::of this pair, held flat so an entry stays 48 bytes.
+    std::uint64_t capacity_bytes = 0;
     std::uint32_t nominal_dvfs = 0;
-    DeviceFit fit;
+    bool implemented = false;
+
+    DeviceFit fit() const noexcept { return {implemented, capacity_bytes}; }
   };
 
   /// Binds the cache to a platform. Entries are filled lazily per
@@ -71,7 +75,7 @@ class CostModelCache {
                      const perf::HistoryModel* history) {
     Entry* row = find_row(codelet);
     Entry& slot = row[device.id()];
-    if (history != nullptr && slot.fit.implemented &&
+    if (history != nullptr && slot.implemented &&
         slot.hist_gen != history->version()) {
       slot.hist_spf = history->seconds_per_flop(codelet.id(), device.type());
       slot.hist_gen = history->version();

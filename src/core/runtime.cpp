@@ -1385,7 +1385,7 @@ double Runtime::exec_estimate(const Task& task, const hw::Device& device,
   const CostModelCache::Entry& entry = cost_cache_.entry(
       task.codelet(), device,
       options_.use_history_model ? &history_ : nullptr);
-  if (!entry.fit.admits(task.working_set_bytes())) {
+  if (!entry.fit().admits(task.working_set_bytes())) {
     return std::numeric_limits<double>::infinity();
   }
   double pure = 0.0;
