@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
