@@ -30,8 +30,11 @@ std::string decisions_to_jsonl(const std::vector<SchedDecision>& decisions,
     out.key("candidates").begin_array();
     for (const DecisionCandidate& c : d.candidates) {
       out.begin_object();
+      // at() throws for a device this platform lacks, before class_of
+      // (unchecked) would read past its table.
+      const std::string& single = alone.at(c.device);
       out.key("devices").raw(c.single_device
-                                 ? alone.at(c.device)
+                                 ? single
                                  : members[platform.class_of(c.device)]);
       out.key("energy_j").number(c.predicted_energy_j);
       out.key("finish_s").number(c.predicted_finish_s);

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/task.hpp"
@@ -16,69 +15,61 @@ namespace hetflow::sched {
 template <typename Queue>
 class ClassBuckets {
  public:
-  /// Binds to `platform`'s device classes and drops every bucket.
-  void attach(const hw::Platform& platform) {
-    platform_ = &platform;
-    drawn_by_.assign(platform.device_classes().size(), {});
-    keys_.clear();
-    queues_.clear();
-    last_codelet_ = nullptr;
-  }
+  /// Tasks held across every bucket.
+  std::size_t size() const noexcept { return size_; }
 
-  /// The bucket for `task`'s class set, created on first sight. The set
-  /// depends on the codelet and working set alone, so a task like the
-  /// last one reuses its bucket without asking the rule again.
-  Queue& of(const core::Task& task) {
-    if (&task.codelet() == last_codelet_ &&
-        task.working_set_bytes() == last_bytes_) {
-      return queues_[last_];
-    }
-    last_codelet_ = &task.codelet();
-    last_bytes_ = task.working_set_bytes();
+  /// The bucket to put `task` in: the one for the set of `platform`'s
+  /// classes that can run it, created on first sight. It is counted as
+  /// holding one more task.
+  Queue& insert(const core::Task& task, const hw::Platform& platform) {
+    const std::vector<hw::DeviceClass>& classes = platform.device_classes();
+    drawn_by_.resize(classes.size());
     key_.clear();
-    const std::vector<hw::DeviceClass>& classes = platform_->device_classes();
     for (std::size_t c = 0; c < classes.size(); ++c) {
-      if (core::can_run(task, platform_->device(classes[c].front()),
-                        *platform_)) {
+      if (core::can_run(task, platform.device(classes[c].front()), platform)) {
         key_.push_back(c);
       }
     }
-    last_ = static_cast<std::size_t>(
+    const auto b = static_cast<std::size_t>(
         std::find(keys_.begin(), keys_.end(), key_) - keys_.begin());
-    if (last_ == keys_.size()) {
+    if (b == keys_.size()) {
       for (const std::size_t c : key_) {
-        drawn_by_[c].push_back(last_);
+        drawn_by_[c].push_back(b);
       }
       keys_.push_back(key_);
       queues_.emplace_back();
     }
-    return queues_[last_];
+    ++size_;
+    return queues_[b];
   }
 
-  /// The non-empty bucket `device` can draw from that `before` orders
-  /// first, or nullptr when there is none.
+  /// The non-empty bucket `device` of `platform` can draw from that
+  /// `before` orders first, or nullptr when there is none. The bucket is
+  /// counted as holding one fewer task; the caller pops its head.
   template <typename Before>
-  Queue* first_for(const hw::Device& device, Before before) {
+  Queue* take(const hw::Device& device, const hw::Platform& platform,
+              Before before) {
+    if (size_ == 0) {
+      return nullptr;
+    }
     Queue* best = nullptr;
-    for (const std::size_t b : drawn_by_[platform_->class_of(device.id())]) {
+    for (const std::size_t b : drawn_by_[platform.class_of(device.id())]) {
       Queue& queue = queues_[b];
       if (!queue.empty() && (best == nullptr || before(queue, *best))) {
         best = &queue;
       }
     }
+    size_ -= best != nullptr ? 1 : 0;
     return best;
   }
 
  private:
-  const hw::Platform* platform_ = nullptr;
   /// Per class: the buckets whose set holds it, in creation order.
   std::vector<std::vector<std::size_t>> drawn_by_;
   std::vector<std::vector<std::size_t>> keys_;  ///< per bucket: its set
   std::vector<Queue> queues_;
-  std::vector<std::size_t> key_;  ///< scratch for of()
-  const core::Codelet* last_codelet_ = nullptr;  ///< of()'s last task
-  std::uint64_t last_bytes_ = 0;
-  std::size_t last_ = 0;  ///< its bucket
+  std::vector<std::size_t> key_;  ///< scratch for insert()
+  std::size_t size_ = 0;
 };
 
 }  // namespace hetflow::sched

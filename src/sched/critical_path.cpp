@@ -2,36 +2,20 @@
 
 #include <vector>
 
-#include "sched/graph_utils.hpp"
-
 namespace hetflow::sched {
-
-void CriticalPathScheduler::attach(core::SchedContext& ctx) {
-  Scheduler::attach(ctx);
-  buckets_.attach(ctx.platform());
-  queued_ = 0;
-}
 
 void CriticalPathScheduler::prepare(
     const std::vector<core::Task*>& all_tasks) {
-  if (all_tasks.empty()) {
-    return;
-  }
-  const TaskGraphView view = TaskGraphView::build(ctx(), all_tasks);
-  const std::vector<double> ranks = view.upward_ranks(ctx().platform());
-  for (std::size_t i = 0; i < all_tasks.size(); ++i) {
-    all_tasks[i]->set_priority(ranks[i]);
-  }
+  prioritize_by_upward_rank(ctx(), all_tasks);
 }
 
 void CriticalPathScheduler::on_task_ready(core::Task& task) {
-  buckets_.of(task).push(&task);
-  ++queued_;
+  buckets_.insert(task, ctx().platform()).push(&task);
 }
 
 core::Task* CriticalPathScheduler::on_device_idle(const hw::Device& device) {
-  ReadyQueue* ready = buckets_.first_for(
-      device, [](const ReadyQueue& a, const ReadyQueue& b) {
+  ReadyQueue* ready = buckets_.take(
+      device, ctx().platform(), [](const ReadyQueue& a, const ReadyQueue& b) {
         return LowerRank{}(b.top(), a.top());
       });
   if (ready == nullptr) {
@@ -39,7 +23,6 @@ core::Task* CriticalPathScheduler::on_device_idle(const hw::Device& device) {
   }
   core::Task* chosen = ready->top();
   ready->pop();
-  --queued_;
   return chosen;
 }
 

@@ -10,6 +10,7 @@
 
 #include "core/scheduler.hpp"
 #include "sched/class_buckets.hpp"
+#include "sched/graph_utils.hpp"
 
 namespace hetflow::sched {
 
@@ -17,27 +18,19 @@ class CriticalPathScheduler final : public core::Scheduler {
  public:
   std::string name() const override { return "critical-path"; }
 
-  void attach(core::SchedContext& ctx) override;
   void prepare(const std::vector<core::Task*>& all_tasks) override;
   void on_task_ready(core::Task& task) override;
   core::Task* on_device_idle(const hw::Device& device) override;
-  bool has_retained_work() const noexcept override { return queued_ > 0; }
+  bool has_retained_work() const noexcept override {
+    return buckets_.size() > 0;
+  }
 
  private:
-  struct LowerRank {
-    bool operator()(const core::Task* a, const core::Task* b) const {
-      if (a->priority() != b->priority()) {
-        return a->priority() < b->priority();
-      }
-      return a->id() > b->id();
-    }
-  };
   using ReadyQueue =
       std::priority_queue<core::Task*, std::vector<core::Task*>, LowerRank>;
   /// Ready tasks split by the classes that can run them: the
   /// highest-rank task a device can run tops one of its class's buckets.
   ClassBuckets<ReadyQueue> buckets_;
-  std::size_t queued_ = 0;
 };
 
 }  // namespace hetflow::sched

@@ -1,19 +1,11 @@
 #include "sched/dmdas.hpp"
 
-#include "sched/graph_utils.hpp"
 #include "sched/placement.hpp"
 
 namespace hetflow::sched {
 
 void DmdasScheduler::prepare(const std::vector<core::Task*>& all_tasks) {
-  if (all_tasks.empty()) {
-    return;
-  }
-  const TaskGraphView view = TaskGraphView::build(ctx(), all_tasks);
-  const std::vector<double> ranks = view.upward_ranks(ctx().platform());
-  for (std::size_t i = 0; i < all_tasks.size(); ++i) {
-    all_tasks[i]->set_priority(ranks[i]);
-  }
+  prioritize_by_upward_rank(ctx(), all_tasks);
 }
 
 void DmdasScheduler::on_task_ready(core::Task& task) {

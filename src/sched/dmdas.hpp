@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "sched/graph_utils.hpp"
 
 namespace hetflow::sched {
 
@@ -22,14 +23,6 @@ class DmdasScheduler final : public core::Scheduler {
   bool has_retained_work() const noexcept override { return !held_.empty(); }
 
  private:
-  struct LowerRank {
-    bool operator()(const core::Task* a, const core::Task* b) const {
-      if (a->priority() != b->priority()) {
-        return a->priority() < b->priority();
-      }
-      return a->id() > b->id();
-    }
-  };
   std::priority_queue<core::Task*, std::vector<core::Task*>, LowerRank>
       held_;
 

@@ -4,29 +4,21 @@
 
 namespace hetflow::sched {
 
-void EagerScheduler::attach(core::SchedContext& ctx) {
-  Scheduler::attach(ctx);
-  buckets_.attach(ctx.platform());
-  queued_ = 0;
-}
-
 void EagerScheduler::on_task_ready(core::Task& task) {
-  buckets_.of(task).items.emplace_back(arrivals_++, &task);
-  ++queued_;
+  buckets_.insert(task, ctx().platform())
+      .items.emplace_back(arrivals_++, &task);
 }
 
 core::Task* EagerScheduler::on_device_idle(const hw::Device& device) {
-  if (queued_ == 0) {
-    return nullptr;
-  }
-  Fifo* fifo = buckets_.first_for(device, [](const Fifo& a, const Fifo& b) {
-    return a.items[a.head].first < b.items[b.head].first;
-  });
+  Fifo* fifo = buckets_.take(device, ctx().platform(),
+                             [](const Fifo& a, const Fifo& b) {
+                               return a.items[a.head].first <
+                                      b.items[b.head].first;
+                             });
   if (fifo == nullptr) {
     return nullptr;
   }
   core::Task* picked = fifo->items[fifo->head++].second;
-  --queued_;
   // The runtime dispatches the picked task immediately and pulls again
   // for the next idle device within the same pump, so the next entry's
   // Task object (scattered in the pool) is wanted ~one dispatch from

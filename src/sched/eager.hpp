@@ -16,10 +16,11 @@ namespace hetflow::sched {
 class EagerScheduler final : public core::Scheduler {
  public:
   std::string name() const override { return "eager"; }
-  void attach(core::SchedContext& ctx) override;
   void on_task_ready(core::Task& task) override;
   core::Task* on_device_idle(const hw::Device& device) override;
-  bool has_retained_work() const noexcept override { return queued_ > 0; }
+  bool has_retained_work() const noexcept override {
+    return buckets_.size() > 0;
+  }
 
  private:
   /// The FIFO is split by the classes that can run each task, each part
@@ -37,7 +38,6 @@ class EagerScheduler final : public core::Scheduler {
   };
   ClassBuckets<Fifo> buckets_;
   std::uint64_t arrivals_ = 0;
-  std::size_t queued_ = 0;
 };
 
 }  // namespace hetflow::sched

@@ -85,4 +85,16 @@ std::vector<double> TaskGraphView::downward_ranks(
   });
 }
 
+void prioritize_by_upward_rank(const core::SchedContext& ctx,
+                               const std::vector<core::Task*>& tasks) {
+  if (tasks.empty()) {
+    return;
+  }
+  const std::vector<double> ranks =
+      TaskGraphView::build(ctx, tasks).upward_ranks(ctx.platform());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i]->set_priority(ranks[i]);
+  }
+}
+
 }  // namespace hetflow::sched

@@ -43,4 +43,20 @@ class TaskGraphView {
   std::vector<double> mean_exec_;
 };
 
+/// Sets each of `tasks`' priority to its upward rank, the order in which
+/// dmdas commits and critical-path hands out ready tasks.
+void prioritize_by_upward_rank(const core::SchedContext& ctx,
+                               const std::vector<core::Task*>& tasks);
+
+/// std::priority_queue order for those tasks: the top is the highest
+/// priority, ties to the lowest task id.
+struct LowerRank {
+  bool operator()(const core::Task* a, const core::Task* b) const {
+    if (a->priority() != b->priority()) {
+      return a->priority() < b->priority();
+    }
+    return a->id() > b->id();
+  }
+};
+
 }  // namespace hetflow::sched

@@ -66,14 +66,13 @@ core::Task* WorkStealingScheduler::on_device_idle(const hw::Device& device) {
     return core::can_run(*task, device, ctx().platform());
   };
   std::deque<core::Task*>& own = deques_[device.id()];
-  // Own work first (front — oldest, inputs most likely resident by now).
-  for (auto it = own.begin(); it != own.end(); ++it) {
-    if (runs_here(*it)) {
-      core::Task* task = *it;
-      own.erase(it);
-      log_placement(ctx(), *task, device, "pulled by idle owner");
-      return task;
-    }
+  // Own work first (front — oldest, inputs most likely resident by now);
+  // on_task_ready queued only tasks this device can run.
+  if (!own.empty()) {
+    core::Task* task = own.front();
+    own.pop_front();
+    log_placement(ctx(), *task, device, "pulled by idle owner");
+    return task;
   }
   // Steal from the richest victim's back.
   std::size_t victim = deques_.size();

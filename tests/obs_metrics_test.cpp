@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/runtime.hpp"
 #include "helpers.hpp"
 #include "hw/presets.hpp"
@@ -301,6 +303,29 @@ TEST(Recorder, DecisionJsonlListsEveryMemberOfAClassRow) {
   EXPECT_EQ(single.at("devices").as_array()[0].as_string(),
             p.device(cores[1]).name());
   EXPECT_FALSE(single.contains("quarantined"));
+}
+
+TEST(Recorder, DecisionJsonlRejectsADeviceThePlatformLacks) {
+  // A log recorded on the 6-device hpc:4,2,0 node, serialized against
+  // the 5-device workstation: a class row naming device 5 must throw,
+  // not read past the workstation's class table.
+  const hw::Platform recorded = hw::make_hpc_node(4, 2);
+  const hw::Platform other = hw::make_workstation();
+  ASSERT_LT(other.device_count(), recorded.device_count());
+  const hw::DeviceId missing = static_cast<hw::DeviceId>(other.device_count());
+  for (const bool single_device : {false, true}) {
+    Recorder recorder;
+    SchedDecision decision;
+    decision.task = 0;
+    decision.task_name = "t";
+    decision.scheduler = "dmda";
+    decision.candidates.push_back({missing, 1.0, 2.0, {}, single_device});
+    decision.winner = 0;
+    decision.reason = "min completion";
+    recorder.add_decision(std::move(decision));
+    EXPECT_THROW(recorder.decisions_jsonl(other), std::out_of_range)
+        << "single_device=" << single_device;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 //   1. A workflow Runtime::submit accepts runs under every registered
 //      policy: 24 tasks, each reading its own 20 GiB file, fit the
 //      workstation's 64 GiB host DRAM but not its 16 GiB GPU, so every
-//      policy must keep them off the GPU, cluster placement included.
+//      policy must keep them off the GPU, cluster placement included
+//      (where all files on one node still overfill the other's host).
 //   2. The pull policies' class buckets (sched/class_buckets.hpp) hand
 //      an idle device exactly the task the single-queue scan they
 //      replaced would: eager the oldest it can run, critical-path the
@@ -66,18 +67,36 @@ TEST(Feasibility, WorkingSetsBeyondTheGpuRunUnderEveryPolicy) {
     expect_big_inputs_stay_on_the_host(
         workstation, sched::make_scheduler(name, 1), name);
   }
+}
+
+hw::Cluster two_workstations() {
   hw::ClusterBuilder builder("two-workstations");
-  builder.add_node(workstation);
-  builder.add_node(workstation);
+  builder.add_node(hw::make_workstation());
+  builder.add_node(hw::make_workstation());
   builder.connect_all(12.5, 50e-6);
-  const hw::Cluster cluster = builder.build();
+  return builder.build();
+}
+
+TEST(Feasibility, ClusterEagerKeepsWorkingSetsOnTheHosts) {
   // Each node's host holds half the files, so locality placement needs
-  // no 20 GiB fabric copies: four of those in flight at once would
-  // overfill a 64 GiB host whatever the policy.
+  // no 20 GiB fabric copies.
+  const hw::Cluster cluster = two_workstations();
   expect_big_inputs_stay_on_the_host(
       cluster.platform(), sched::make_cluster_scheduler(cluster, "eager"),
-      "cluster:eager",
+      "cluster:eager, files on both nodes",
       {cluster.node(0).first_memory, cluster.node(1).first_memory});
+}
+
+// Disabled: with every file on node 0, node 1's CPUs each fetch a 20 GiB
+// input and the fourth copy overfills its 64 GiB host, because nothing
+// makes a task whose inputs cannot be made resident wait for room
+// (DataManager::ensure_capacity throws ResourceExhausted; the FOUND line
+// on it in CHANGES.md). Enable it with that admission.
+TEST(Feasibility, DISABLED_ClusterEagerWithEveryFileOnOneNode) {
+  const hw::Cluster cluster = two_workstations();
+  expect_big_inputs_stay_on_the_host(
+      cluster.platform(), sched::make_cluster_scheduler(cluster, "eager"),
+      "cluster:eager, files on node 0", {cluster.node(0).first_memory});
 }
 
 // ---------------------------------------------------------------------------
