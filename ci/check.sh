@@ -5,7 +5,8 @@
 #   2. run the full ctest suite plain
 #   3. core-overhead bench smoke: every synthetic DAG shape at 10^4
 #      tasks through bench_core_overhead --smoke (throughput sanity,
-#      exact completion counts, HEFT plan-time bound)
+#      exact completion counts, HEFT plan-time bound), then every shape
+#      at 10^6 tasks with --validate (the end-of-run audit at full scale)
 #   4. serve front-end smoke: bench_serve_load --smoke (closed-loop
 #      multi-tenant load with bounded-queue/bounded-p99 assertions), the
 #      fairness/starvation checkers via hetflow_check --selftest, and
@@ -13,7 +14,8 @@
 #   5. cluster smoke: a 4-node cluster run through two-level
 #      scheduling with a mid-run node kill, --validate (full audit +
 #      inter-node directory invariants) and --metrics, for both
-#      placement policies, plus bench_cluster_scaling --smoke
+#      placement policies, a validated 10^4-task Montage on a 16-node
+#      cluster, plus bench_cluster_scaling --smoke
 #   6. benchmark harness smoke: build hetflow_perfbench and run each of
 #      the four BENCHMARK.json workloads for one second; each run must
 #      report "correct": true and "failed": 0
@@ -59,7 +61,7 @@ cmake --build build-ci -j "$jobs"
 echo "=== [2/12] ctest (plain) ==="
 ctest --test-dir build-ci --output-on-failure -j "$jobs"
 
-echo "=== [3/12] core-overhead bench smoke (10^4 tasks) ==="
+echo "=== [3/12] core-overhead bench (10^4 smoke, 10^6 validated) ==="
 # Catches hot-path regressions that unit tests miss: the smoke mode runs
 # every DAG shape at 10^4 tasks plus the HEFT plan sanity, and exits
 # non-zero on zero throughput, a failed count cross-check, or a blown
@@ -72,6 +74,9 @@ echo "=== [3/12] core-overhead bench smoke (10^4 tasks) ==="
 # smoke numbers. The smoke file is tagged "smoke": true, so it is not
 # diffed against the committed full run (bench_diff.py refuses that).
 (cd build-ci/bench && ./bench_core_overhead --smoke --validate --metrics)
+# The audit at the scale the bench claims: every shape at 10^6 tasks,
+# validated (about 10 s; the JSON it writes stays in build-ci/bench).
+(cd build-ci/bench && ./bench_core_overhead --tasks 1000000 --validate)
 
 echo "=== [4/12] serve front-end smoke ==="
 # The serve smoke drives the closed-loop multi-tenant load generator at
@@ -97,6 +102,10 @@ for placement in locality blind; do
 done
 build-ci/tools/hetflow_run --workflow cybershake:4,20 --platform cluster:4,4,1 \
     --sched cluster:eager --node-fail 0.05@0 --validate > /dev/null
+# A validated 10^4-task Pegasus workflow on the 16-node cluster the
+# cluster-observed benchmark workload runs on.
+build-ci/tools/hetflow_run --workflow montage:2500 --platform cluster:16,4,1 \
+    --sched cluster:dmda --validate --metrics > /dev/null
 (cd build-ci/bench && ./bench_cluster_scaling --smoke > /dev/null)
 
 echo "=== [6/12] benchmark harness smoke (perfbench, 1 s per workload) ==="

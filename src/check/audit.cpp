@@ -1,6 +1,7 @@
 #include "check/audit.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <set>
 
 #include "util/strings.hpp"
 
@@ -53,20 +54,20 @@ AuditRecord snapshot_audit(const core::Runtime& runtime) {
   return record;
 }
 
-CheckReport audit_run(const core::Runtime& runtime) {
+CheckReport audit(const AuditRecord& record) {
   CheckReport report;
-  const RunRecord run = snapshot_run(runtime);
   std::size_t pairs = 0;
-  report.merge(check_races(run, &pairs));
+  report.merge(check_races(record.run, &pairs));
   report.note_check("conflicting access pairs", pairs);
-  report.merge(check_trace(run));
-  report.note_check("trace spans", run.spans.size());
-  report.merge(check_directory(snapshot_directory(
-      runtime.platform(), runtime.data().registry(),
-      runtime.data().directory())));
-  report.note_check("directory replicas",
-                    runtime.data().registry().count() *
-                        runtime.platform().memory_node_count());
+  report.merge(check_trace(record.run));
+  report.note_check("trace spans", record.run.spans.size());
+  report.merge(check_directory(record.directory));
+  report.note_check("directory replicas", record.directory.states.size());
+  return report;
+}
+
+CheckReport audit_run(const core::Runtime& runtime) {
+  CheckReport report = audit(snapshot_audit(runtime));
   if (!runtime.event_queue().empty()) {
     report.add({ViolationKind::EventResidue,
                 util::format("event queue still holds %zu event(s) after the "
@@ -80,16 +81,25 @@ CheckReport audit_run(const core::Runtime& runtime) {
 
 std::vector<Violation> check_accesses(
     std::span<const data::Access> accesses, std::string_view task_name) {
+  // Short lists, the common case, are scanned without allocating; a
+  // longer one keeps an ordered set, O(k log k).
+  constexpr std::size_t kScanned = 16;
   std::vector<Violation> out;
-  std::unordered_set<data::DataId> seen;
-  for (const data::Access& access : accesses) {
-    if (!seen.insert(access.data).second) {
+  std::set<data::DataId> seen;
+  for (auto it = accesses.begin(); it != accesses.end(); ++it) {
+    const auto same = [it](const data::Access& a) {
+      return a.data == it->data;
+    };
+    const bool repeat = accesses.size() <= kScanned
+                            ? std::any_of(accesses.begin(), it, same)
+                            : !seen.insert(it->data).second;
+    if (repeat) {
       out.push_back(
           {ViolationKind::AccessMode,
            util::format("task '%s' lists handle %u more than once in its "
                         "access list",
-                        std::string(task_name).c_str(), access.data),
-           Violation::npos, Violation::npos, access.data, Violation::npos});
+                        std::string(task_name).c_str(), it->data),
+           Violation::npos, Violation::npos, it->data, Violation::npos});
     }
   }
   return out;

@@ -14,22 +14,14 @@ namespace hetflow::check {
 
 namespace {
 
-const char* mode_tag(data::AccessMode mode) {
-  return data::to_string(mode);  // "R" / "W" / "RW" / "RED"
-}
-
+/// The inverse of data::to_string(AccessMode): "R" / "W" / "RW" / "RED".
 data::AccessMode parse_mode(const std::string& tag) {
-  if (tag == "R") {
-    return data::AccessMode::Read;
-  }
-  if (tag == "W") {
-    return data::AccessMode::Write;
-  }
-  if (tag == "RW") {
-    return data::AccessMode::ReadWrite;
-  }
-  if (tag == "RED") {
-    return data::AccessMode::Redux;
+  for (const data::AccessMode mode :
+       {data::AccessMode::Read, data::AccessMode::Write,
+        data::AccessMode::ReadWrite, data::AccessMode::Redux}) {
+    if (tag == data::to_string(mode)) {
+      return mode;
+    }
   }
   throw ParseError("unknown access mode '" + tag + "'");
 }
@@ -46,16 +38,14 @@ char state_tag(data::ReplicaState state) {
 }
 
 data::ReplicaState parse_state(char tag) {
-  switch (tag) {
-    case 'I':
-      return data::ReplicaState::Invalid;
-    case 'S':
-      return data::ReplicaState::Shared;
-    case 'M':
-      return data::ReplicaState::Modified;
-    default:
-      throw ParseError(std::string("unknown replica state '") + tag + "'");
+  for (const data::ReplicaState state :
+       {data::ReplicaState::Invalid, data::ReplicaState::Shared,
+        data::ReplicaState::Modified}) {
+    if (tag == state_tag(state)) {
+      return state;
+    }
   }
+  throw ParseError(std::string("unknown replica state '") + tag + "'");
 }
 
 template <typename T>
@@ -165,7 +155,7 @@ std::string to_audit_json(const AuditRecord& record) {
     for (const data::Access& access : task.accesses) {
       out.begin_object();
       out.key("data").number(static_cast<double>(access.data));
-      out.key("mode").string(mode_tag(access.mode));
+      out.key("mode").string(data::to_string(access.mode));
       out.end_object();
     }
     out.end_array();

@@ -56,24 +56,20 @@ std::vector<Violation> check_cluster(const ClusterRecord& cluster,
 
   // -- Mapping sanity -------------------------------------------------
   if (cluster.memory_to_node.size() != directory.node_count) {
-    Violation v;
-    v.kind = ViolationKind::DanglingReference;
-    v.message = util::format(
-        "cluster memory map covers %zu memory nodes but the directory "
-        "snapshot has %zu",
-        cluster.memory_to_node.size(), directory.node_count);
-    violations.push_back(std::move(v));
+    violations.push_back(
+        {ViolationKind::DanglingReference,
+         util::format("cluster memory map covers %zu memory nodes but the "
+                      "directory snapshot has %zu",
+                      cluster.memory_to_node.size(), directory.node_count)});
     return violations;  // per-memory-node passes below would misindex
   }
   for (std::size_t m = 0; m < cluster.memory_to_node.size(); ++m) {
     if (cluster.memory_to_node[m] >= cluster.cluster_node_count) {
-      Violation v;
-      v.kind = ViolationKind::DanglingReference;
-      v.node = m;
-      v.message = util::format(
-          "memory node %zu maps to unknown cluster node %u", m,
-          cluster.memory_to_node[m]);
-      violations.push_back(std::move(v));
+      violations.push_back(
+          {ViolationKind::DanglingReference,
+           util::format("memory node %zu maps to unknown cluster node %u", m,
+                        cluster.memory_to_node[m]),
+           Violation::npos, Violation::npos, Violation::npos, m});
     }
   }
   if (!violations.empty()) {
@@ -99,30 +95,27 @@ std::vector<Violation> check_cluster(const ClusterRecord& cluster,
         if (owner != static_cast<std::size_t>(-1) && owner != node &&
             !double_owner) {
           double_owner = true;
-          Violation v;
-          v.kind = ViolationKind::CoherenceState;
-          v.data = data;
-          v.node = m;
-          v.message = util::format(
-              "handle %zu owned Modified by two cluster nodes (%zu and "
-              "%zu) — ownership transfer failed to revoke the old owner",
-              data, owner, node);
-          violations.push_back(std::move(v));
+          violations.push_back(
+              {ViolationKind::CoherenceState,
+               util::format("handle %zu owned Modified by two cluster nodes "
+                            "(%zu and %zu) — ownership transfer failed to "
+                            "revoke the old owner",
+                            data, owner, node),
+               Violation::npos, Violation::npos, data, m});
         }
         owner = node;
       }
     }
     if (!double_owner && owner != static_cast<std::size_t>(-1) &&
         valid_nodes.size() > 1) {
-      Violation v;
-      v.kind = ViolationKind::CoherenceState;
-      v.data = data;
-      v.message = util::format(
-          "handle %zu is Modified on cluster node %zu while %zu other "
-          "cluster node(s) still hold valid replicas — a remote read "
-          "must downgrade the owner to Shared",
-          data, owner, valid_nodes.size() - 1);
-      violations.push_back(std::move(v));
+      violations.push_back(
+          {ViolationKind::CoherenceState,
+           util::format("handle %zu is Modified on cluster node %zu while "
+                        "%zu other cluster node(s) still hold valid "
+                        "replicas — a remote read must downgrade the owner "
+                        "to Shared",
+                        data, owner, valid_nodes.size() - 1),
+           Violation::npos, Violation::npos, data, Violation::npos});
     }
   }
 
@@ -131,12 +124,10 @@ std::vector<Violation> check_cluster(const ClusterRecord& cluster,
     const ClusterTransferRecord& transfer = cluster.transfers[i];
     if (transfer.src >= cluster.memory_to_node.size() ||
         transfer.dst >= cluster.memory_to_node.size()) {
-      Violation v;
-      v.kind = ViolationKind::DanglingReference;
-      v.message = util::format(
-          "transfer %zu references unknown memory node %u", i,
-          std::max(transfer.src, transfer.dst));
-      violations.push_back(std::move(v));
+      violations.push_back(
+          {ViolationKind::DanglingReference,
+           util::format("transfer %zu references unknown memory node %u", i,
+                        std::max(transfer.src, transfer.dst))});
       continue;
     }
     const std::size_t src_node = cluster.memory_to_node[transfer.src];
@@ -147,14 +138,12 @@ std::vector<Violation> check_cluster(const ClusterRecord& cluster,
     const std::vector<bool> reachable = fabric_reachable(
         src_node, cluster.cluster_node_count, cluster.fabric_edges);
     if (!reachable[dst_node]) {
-      Violation v;
-      v.kind = ViolationKind::DanglingReference;
-      v.node = transfer.dst;
-      v.message = util::format(
-          "transfer %zu crosses cluster nodes %zu -> %zu with no fabric "
-          "route between them",
-          i, src_node, dst_node);
-      violations.push_back(std::move(v));
+      violations.push_back(
+          {ViolationKind::DanglingReference,
+           util::format("transfer %zu crosses cluster nodes %zu -> %zu with "
+                        "no fabric route between them",
+                        i, src_node, dst_node),
+           Violation::npos, Violation::npos, Violation::npos, transfer.dst});
     }
   }
 

@@ -21,42 +21,37 @@ std::vector<Violation> check_workflow(const workflow::Workflow& workflow) {
                                   task.name.c_str()),
                      t, Violation::npos, Violation::npos, Violation::npos});
     }
-    std::unordered_set<std::size_t> inputs;
-    for (std::size_t in : task.inputs) {
-      if (in >= files) {
+    // Reports an out-of-range or repeated entry of one file list; false
+    // when `file` is out of range.
+    const auto listed = [&](std::size_t file,
+                            std::unordered_set<std::size_t>& seen,
+                            const char* verb, const char* role) {
+      if (file >= files) {
         out.push_back({ViolationKind::DanglingReference,
-                       util::format("task '%s' reads unknown file %zu",
-                                    task.name.c_str(), in),
-                       t, Violation::npos, in, Violation::npos});
+                       util::format("task '%s' %s unknown file %zu",
+                                    task.name.c_str(), verb, file),
+                       t, Violation::npos, file, Violation::npos});
         indices_ok = false;
-        continue;
+        return false;
       }
-      if (!inputs.insert(in).second) {
+      if (!seen.insert(file).second) {
         out.push_back(
             {ViolationKind::AccessMode,
-             util::format("task '%s' lists file '%s' as input twice",
+             util::format("task '%s' lists file '%s' as %s twice",
                           task.name.c_str(),
-                          workflow.files()[in].name.c_str()),
-             t, Violation::npos, in, Violation::npos});
+                          workflow.files()[file].name.c_str(), role),
+             t, Violation::npos, file, Violation::npos});
       }
+      return true;
+    };
+    std::unordered_set<std::size_t> inputs;
+    for (std::size_t in : task.inputs) {
+      listed(in, inputs, "reads", "input");
     }
     std::unordered_set<std::size_t> outputs;
     for (std::size_t o : task.outputs) {
-      if (o >= files) {
-        out.push_back({ViolationKind::DanglingReference,
-                       util::format("task '%s' writes unknown file %zu",
-                                    task.name.c_str(), o),
-                       t, Violation::npos, o, Violation::npos});
-        indices_ok = false;
+      if (!listed(o, outputs, "writes", "output")) {
         continue;
-      }
-      if (!outputs.insert(o).second) {
-        out.push_back(
-            {ViolationKind::AccessMode,
-             util::format("task '%s' lists file '%s' as output twice",
-                          task.name.c_str(),
-                          workflow.files()[o].name.c_str()),
-             t, Violation::npos, o, Violation::npos});
       }
       if (inputs.count(o) > 0) {
         out.push_back(

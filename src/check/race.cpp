@@ -13,6 +13,10 @@ namespace {
 /// arithmetic; exact touching intervals are legal).
 constexpr double kEps = 1e-9;
 
+/// The rank of a task on or behind a cycle, which Kahn's order never
+/// reaches.
+constexpr std::size_t kNoRank = static_cast<std::size_t>(-1);
+
 /// Maps task id -> index into run.tasks. Duplicate ids keep the first.
 std::unordered_map<std::uint64_t, std::size_t> index_tasks(
     const RunRecord& run) {
@@ -45,65 +49,78 @@ const char* conflict_name(data::AccessMode first, data::AccessMode second) {
   return first_writes ? "RAW" : "WAR";
 }
 
-double overlap_seconds(const TaskRecord& a, const TaskRecord& b) {
-  return std::min(a.end, b.end) - std::max(a.start, b.start);
-}
+/// One completed task's access to a registered handle.
+struct Use {
+  sim::SimTime start;
+  sim::SimTime end;
+  std::size_t task;
+  data::DataId handle;
+  data::AccessMode mode;
+};
 
 }  // namespace
 
 HappensBefore::HappensBefore(const RunRecord& run)
-    : count_(run.tasks.size()),
-      words_((run.tasks.size() + 63) / 64),
-      reach_(count_ * words_, 0) {
+    : children_(run.tasks.size()),
+      rank_(run.tasks.size(), kNoRank),
+      seen_(run.tasks.size(), 0) {
+  const std::size_t count = run.tasks.size();
   const auto index = index_tasks(run);
-  // Kahn topological order over dependency edges (parent -> child).
-  std::vector<std::size_t> indegree(count_, 0);
-  std::vector<std::vector<std::size_t>> children(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
+  std::vector<std::size_t> indegree(count, 0);
+  for (std::size_t i = 0; i < count; ++i) {
     for (std::uint64_t dep : run.tasks[i].dependencies) {
       const auto it = index.find(dep);
-      if (it == index.end() || it->second == i) {
-        continue;  // dangling / self edges are reported by check_races
+      if (it != index.end()) {  // dangling edges are reported by check_races
+        children_[it->second].push_back(i);
+        ++indegree[i];
       }
-      children[it->second].push_back(i);
-      ++indegree[i];
     }
   }
+  // Kahn's order: a task is ranked once all its parents are.
   std::vector<std::size_t> frontier;
-  for (std::size_t i = 0; i < count_; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     if (indegree[i] == 0) {
       frontier.push_back(i);
     }
   }
-  std::size_t visited = 0;
+  std::size_t ranked = 0;
   while (!frontier.empty()) {
     const std::size_t parent = frontier.back();
     frontier.pop_back();
-    ++visited;
-    std::uint64_t* parent_row = reach_.data() + parent * words_;
-    for (std::size_t child : children[parent]) {
-      std::uint64_t* child_row = reach_.data() + child * words_;
-      for (std::size_t w = 0; w < words_; ++w) {
-        child_row[w] |= parent_row[w];
-      }
-      child_row[parent / 64] |= std::uint64_t{1} << (parent % 64);
+    rank_[parent] = ranked++;
+    for (std::size_t child : children_[parent]) {
       if (--indegree[child] == 0) {
         frontier.push_back(child);
       }
     }
   }
-  has_cycle_ = visited != count_;
+  has_cycle_ = ranked != count;
 }
 
 bool HappensBefore::reaches(std::size_t ancestor,
                             std::size_t descendant) const {
-  return (reach_[descendant * words_ + ancestor / 64] >>
-          (ancestor % 64)) &
-         1U;
-}
-
-bool HappensBefore::ordered(std::size_t a, std::size_t b) const {
-  return reaches(a, b) || reaches(b, a);
+  if (rank_[ancestor] == kNoRank) {
+    return false;
+  }
+  // Every task on a path to `descendant` ranks below it (unranked
+  // descendants bound nothing).
+  const std::size_t bound = rank_[descendant];
+  ++query_;
+  stack_.assign(1, ancestor);
+  while (!stack_.empty()) {
+    const std::size_t task = stack_.back();
+    stack_.pop_back();
+    for (std::size_t child : children_[task]) {
+      if (child == descendant) {
+        return true;
+      }
+      if (seen_[child] != query_ && rank_[child] < bound) {
+        seen_[child] = query_;
+        stack_.push_back(child);
+      }
+    }
+  }
+  return false;
 }
 
 std::vector<Violation> check_races(const RunRecord& run,
@@ -112,7 +129,7 @@ std::vector<Violation> check_races(const RunRecord& run,
   const auto index = index_tasks(run);
   std::size_t pairs = 0;
 
-  // --- structural pass: dangling references ------------------------------
+  // --- dangling references; dependency edges the schedule broke ---------
   for (const TaskRecord& task : run.tasks) {
     for (const data::Access& access : task.accesses) {
       if (access.data >= run.handle_count()) {
@@ -126,7 +143,8 @@ std::vector<Violation> check_races(const RunRecord& run,
       }
     }
     for (std::uint64_t dep : task.dependencies) {
-      if (index.find(dep) == index.end()) {
+      const auto it = index.find(dep);
+      if (it == index.end()) {
         out.push_back(
             {ViolationKind::DanglingReference,
              util::format("task '%s' (#%llu) depends on unknown task #%llu",
@@ -134,6 +152,20 @@ std::vector<Violation> check_races(const RunRecord& run,
                           static_cast<unsigned long long>(task.id),
                           static_cast<unsigned long long>(dep)),
              task.id, dep, Violation::npos, Violation::npos});
+        continue;
+      }
+      const TaskRecord& parent = run.tasks[it->second];
+      if (task.completed && parent.completed &&
+          task.start < parent.end - kEps) {
+        out.push_back(
+            {ViolationKind::DependencyViolation,
+             util::format(
+                 "task '%s' (#%llu) started at %.9g before its dependency "
+                 "'%s' (#%llu) finished at %.9g",
+                 task.name.c_str(), static_cast<unsigned long long>(task.id),
+                 task.start, parent.name.c_str(),
+                 static_cast<unsigned long long>(parent.id), parent.end),
+             parent.id, task.id, Violation::npos, Violation::npos});
       }
     }
     if (task.completed && task.device >= run.device_count) {
@@ -153,93 +185,64 @@ std::vector<Violation> check_races(const RunRecord& run,
                    Violation::npos, Violation::npos, Violation::npos});
   }
 
-  // --- dependency edges must be respected by the executed schedule -------
-  for (std::size_t i = 0; i < run.tasks.size(); ++i) {
-    const TaskRecord& child = run.tasks[i];
-    if (!child.completed) {
-      continue;
-    }
-    for (std::uint64_t dep : child.dependencies) {
-      const auto it = index.find(dep);
-      if (it == index.end()) {
-        continue;
-      }
-      const TaskRecord& parent = run.tasks[it->second];
-      if (parent.completed && child.start < parent.end - kEps) {
-        out.push_back(
-            {ViolationKind::DependencyViolation,
-             util::format(
-                 "task '%s' (#%llu) started at %.9g before its dependency "
-                 "'%s' (#%llu) finished at %.9g",
-                 child.name.c_str(), static_cast<unsigned long long>(child.id),
-                 child.start, parent.name.c_str(),
-                 static_cast<unsigned long long>(parent.id), parent.end),
-             parent.id, child.id, Violation::npos, Violation::npos});
-      }
-    }
-  }
-
-  // --- per-handle conflicting-overlap pass -------------------------------
-  // Gather (task index, mode) per handle, then examine each conflicting
-  // pair. Access lists per handle are short in practice (a handle has one
-  // writer chain), so the pairwise pass is cheap.
-  std::vector<std::vector<std::pair<std::size_t, data::AccessMode>>> by_handle(
-      run.handle_count());
+  // --- per-handle sweep over overlapping uses ----------------------------
+  // A use shorter than kEps overlaps nothing, so only longer ones take
+  // part. Sorted by handle, then start (stable: ties stay in task order),
+  // each use is compared with the earlier uses of its handle that are
+  // still running when it starts.
+  std::vector<Use> uses;
   for (std::size_t i = 0; i < run.tasks.size(); ++i) {
     const TaskRecord& task = run.tasks[i];
-    if (!task.completed) {
+    if (!task.completed || !(task.end - task.start > kEps)) {
       continue;
     }
     for (const data::Access& access : task.accesses) {
       if (access.data < run.handle_count()) {
-        by_handle[access.data].push_back({i, access.mode});
+        uses.push_back({task.start, task.end, i, access.data, access.mode});
       }
     }
   }
-  for (std::size_t handle = 0; handle < by_handle.size(); ++handle) {
-    const auto& uses = by_handle[handle];
-    for (std::size_t x = 0; x < uses.size(); ++x) {
-      for (std::size_t y = x + 1; y < uses.size(); ++y) {
-        if (uses[x].first == uses[y].first ||
-            !conflicting(uses[x].second, uses[y].second)) {
-          continue;
-        }
-        ++pairs;
-        const TaskRecord& a = run.tasks[uses[x].first];
-        const TaskRecord& b = run.tasks[uses[y].first];
-        if (overlap_seconds(a, b) <= kEps) {
-          continue;
-        }
-        // Earlier-starting task first for a stable RAW/WAR/WAW label.
-        const bool a_first = a.start <= b.start;
-        const TaskRecord& first = a_first ? a : b;
-        const TaskRecord& second = a_first ? b : a;
-        const data::AccessMode first_mode =
-            a_first ? uses[x].second : uses[y].second;
-        const data::AccessMode second_mode =
-            a_first ? uses[y].second : uses[x].second;
-        const ViolationKind kind =
-            hb.ordered(uses[x].first, uses[y].first)
-                ? ViolationKind::DependencyViolation
-                : ViolationKind::ConflictingOverlap;
-        out.push_back(
-            {kind,
-             util::format(
-                 "%s race on handle %zu: '%s' (#%llu, %s, [%.9g, %.9g]) "
-                 "overlaps '%s' (#%llu, %s, [%.9g, %.9g])%s",
-                 conflict_name(first_mode, second_mode), handle,
-                 first.name.c_str(),
-                 static_cast<unsigned long long>(first.id),
-                 data::to_string(first_mode), first.start, first.end,
-                 second.name.c_str(),
-                 static_cast<unsigned long long>(second.id),
-                 data::to_string(second_mode), second.start, second.end,
-                 kind == ViolationKind::DependencyViolation
-                     ? " despite an ordering edge"
-                     : " with no ordering edge"),
-             first.id, second.id, handle, Violation::npos});
-      }
+  std::stable_sort(uses.begin(), uses.end(), [](const Use& a, const Use& b) {
+    return a.handle != b.handle ? a.handle < b.handle : a.start < b.start;
+  });
+  std::vector<const Use*> live;
+  for (std::size_t u = 0; u < uses.size(); ++u) {
+    const Use& use = uses[u];
+    if (u == 0 || uses[u - 1].handle != use.handle) {
+      live.clear();
     }
+    // Drop each use that ended by the time this one starts.
+    std::erase_if(live, [&use](const Use* earlier) {
+      return earlier->end - use.start <= kEps;
+    });
+    for (const Use* earlier : live) {
+      if (earlier->task == use.task || !conflicting(earlier->mode, use.mode)) {
+        continue;
+      }
+      ++pairs;
+      const TaskRecord& first = run.tasks[earlier->task];
+      const TaskRecord& second = run.tasks[use.task];
+      const ViolationKind kind = hb.ordered(earlier->task, use.task)
+                                     ? ViolationKind::DependencyViolation
+                                     : ViolationKind::ConflictingOverlap;
+      out.push_back(
+          {kind,
+           util::format(
+               "%s race on handle %zu: '%s' (#%llu, %s, [%.9g, %.9g]) "
+               "overlaps '%s' (#%llu, %s, [%.9g, %.9g])%s",
+               conflict_name(earlier->mode, use.mode),
+               static_cast<std::size_t>(use.handle), first.name.c_str(),
+               static_cast<unsigned long long>(first.id),
+               data::to_string(earlier->mode), first.start, first.end,
+               second.name.c_str(),
+               static_cast<unsigned long long>(second.id),
+               data::to_string(use.mode), second.start, second.end,
+               kind == ViolationKind::DependencyViolation
+                   ? " despite an ordering edge"
+                   : " with no ordering edge"),
+           first.id, second.id, use.handle, Violation::npos});
+    }
+    live.push_back(&use);
   }
   if (pairs_checked != nullptr) {
     *pairs_checked = pairs;

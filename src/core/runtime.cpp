@@ -319,9 +319,12 @@ TaskId Runtime::submit(std::string_view name, CodeletPtr codelet, double flops,
         platform_->name().c_str(), codelet->name().c_str()));
   }
   if (options_.validate) {
-    check::CheckReport report;
-    report.merge(check::check_accesses(accesses, name));
-    check::enforce(report);
+    auto duplicates = check::check_accesses(accesses, name);
+    if (!duplicates.empty()) {
+      check::CheckReport report;
+      report.merge(std::move(duplicates));
+      check::enforce(report);
+    }
   }
   const TaskId id = tasks_.size();
   Task& task = tasks_.emplace_back(id, names_.intern_view(name),

@@ -62,6 +62,36 @@ TEST(RuntimeValidate, DuplicateHandleInAccessListIsRejectedAtSubmit) {
                ValidationError);
 }
 
+TEST(RuntimeValidate, DuplicatesAreReportedInListOrderAtAnyLength) {
+  // Every access whose handle an earlier one names is reported, in list
+  // order, with the same message whether the list is short enough to
+  // scan or long enough to need a set.
+  for (const std::size_t length : {4u, 40u}) {
+    std::vector<data::Access> accesses;
+    for (std::size_t i = 0; i < length; ++i) {
+      accesses.push_back(
+          {static_cast<data::DataId>(i), data::AccessMode::Read});
+    }
+    EXPECT_TRUE(check_accesses(accesses, "clean").empty()) << length;
+    accesses[2].data = 0;
+    accesses[3].data = 0;
+    accesses.back().data = 1;
+    std::vector<std::string> messages;
+    for (const Violation& violation : check_accesses(accesses, "dup")) {
+      EXPECT_EQ(violation.kind, ViolationKind::AccessMode);
+      messages.push_back(violation.message);
+    }
+    const std::string zero =
+        "task 'dup' lists handle 0 more than once in its access list";
+    const std::string one =
+        "task 'dup' lists handle 1 more than once in its access list";
+    EXPECT_EQ(messages, (length == 4 ? std::vector<std::string>{zero, one}
+                                     : std::vector<std::string>{zero, zero,
+                                                                one}))
+        << length;
+  }
+}
+
 TEST(RuntimeValidate, DuplicateAccessIsAcceptedWithoutValidate) {
   // Without validate the legacy behavior stands (last access wins in the
   // dependency inference) — the checker must be strictly opt-in.

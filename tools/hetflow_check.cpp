@@ -113,16 +113,7 @@ int audit_trace(const std::string& path) {
 }
 
 int audit_file(const std::string& path) {
-  const check::AuditRecord record = check::load_audit(path);
-  check::CheckReport report;
-  std::size_t pairs = 0;
-  report.merge(check::check_races(record.run, &pairs));
-  report.note_check("conflicting access pairs", pairs);
-  report.merge(check::check_trace(record.run));
-  report.note_check("trace spans", record.run.spans.size());
-  report.merge(check::check_directory(record.directory));
-  report.note_check("directory replicas", record.directory.states.size());
-  return report_and_exit_code(report);
+  return report_and_exit_code(check::audit(check::load_audit(path)));
 }
 
 int audit_live_run(const util::Cli& cli) {
