@@ -36,9 +36,11 @@
 #      the JsonWriter suite, >= 95% on src/sched/ under the scheduler
 #      suites, >= 90% on src/data/ under the data suites (the
 #      eviction differential included), prefetch and cluster failure,
-#      and >= 95% on src/util/json*.cpp (the number formatter, the
-#      writer and the parser) under the JsonWriter and Json suites
-#      (gcovr when installed, plain gcov otherwise)
+#      >= 95% on src/util/json*.cpp (the number formatter, the
+#      writer and the parser) under the JsonWriter and Json suites,
+#      and >= 90% on src/core/runtime.cpp under the core, fault,
+#      prefetch and golden suites (gcovr when installed, plain gcov
+#      otherwise)
 #  11. lint: clang-tidy over files changed vs the merge base (all
 #      first-party files when git history is unavailable); fails on any
 #      diagnostic. Without clang-tidy installed, tools/lint.sh falls back
@@ -172,7 +174,7 @@ campaign_args=(--campaign surrogate --surface branin --evals 24 --batch 6)
 cmp <(grep best build-ci/campaign_straight.txt) \
     <(grep best build-ci/campaign_resumed.txt)
 
-echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json) ==="
+echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json, core/runtime) ==="
 # The obs, sched and data layers are what the golden and differential
 # suites pin down; unexecuted code there is unpinned code. Each floor
 # counts only the runs of its own test binaries (counters are reset in
@@ -188,7 +190,13 @@ echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json) ==="
 #              cluster failure (the only suite reaching distributed.cpp);
 #   src/util/json*.cpp >= 95% under the JsonWriter suite (the
 #              formatter's differential test against printf included)
-#              and the Json suite (the parser json.cpp also holds).
+#              and the Json suite (the parser json.cpp also holds);
+#   src/core/runtime.cpp >= 90% under the core runtime, dependency,
+#              partition, Redux, memo, failure and prefetch suites,
+#              cluster failure and the obs and schedule goldens: the
+#              attempt-ending, quarantine and node-fault paths all
+#              funnel through a few shared helpers, and the floor keeps
+#              every one of them exercised.
 cmake -B build-cov -S . -DHETFLOW_COVERAGE=ON
 
 # coverage_floor <library target> <sources> <floor %> <test>...
@@ -248,6 +256,11 @@ coverage_floor hf_data src/data/ 90 \
     cluster_failure_test
 coverage_floor hf_util 'src/util/json*.cpp' 95 \
     util_json_writer_test util_json_test
+coverage_floor hf_core 'src/core/runtime.cpp' 90 \
+    core_failure_test core_prefetch_test cluster_failure_test \
+    obs_golden_test core_runtime_test core_dependency_test \
+    core_partition_test core_memo_test sched_golden_test \
+    core_redux_release_test
 
 echo "=== [11/12] lint (changed files) ==="
 changed=()

@@ -56,9 +56,9 @@ AuditRecord snapshot_audit(const core::Runtime& runtime) {
 
 CheckReport audit(const AuditRecord& record) {
   CheckReport report;
-  std::size_t pairs = 0;
-  report.merge(check_races(record.run, &pairs));
-  report.note_check("conflicting access pairs", pairs);
+  std::size_t uses = 0;
+  report.merge(check_races(record.run, &uses));
+  report.note_check("handle uses", uses);
   report.merge(check_trace(record.run));
   report.note_check("trace spans", record.run.spans.size());
   report.merge(check_directory(record.directory));

@@ -124,10 +124,9 @@ bool HappensBefore::reaches(std::size_t ancestor,
 }
 
 std::vector<Violation> check_races(const RunRecord& run,
-                                   std::size_t* pairs_checked) {
+                                   std::size_t* uses_swept) {
   std::vector<Violation> out;
   const auto index = index_tasks(run);
-  std::size_t pairs = 0;
 
   // --- dangling references; dependency edges the schedule broke ---------
   for (const TaskRecord& task : run.tasks) {
@@ -219,7 +218,6 @@ std::vector<Violation> check_races(const RunRecord& run,
       if (earlier->task == use.task || !conflicting(earlier->mode, use.mode)) {
         continue;
       }
-      ++pairs;
       const TaskRecord& first = run.tasks[earlier->task];
       const TaskRecord& second = run.tasks[use.task];
       const ViolationKind kind = hb.ordered(earlier->task, use.task)
@@ -244,8 +242,8 @@ std::vector<Violation> check_races(const RunRecord& run,
     }
     live.push_back(&use);
   }
-  if (pairs_checked != nullptr) {
-    *pairs_checked = pairs;
+  if (uses_swept != nullptr) {
+    *uses_swept = uses.size();
   }
   return out;
 }

@@ -49,10 +49,11 @@ class HappensBefore {
 
 /// Runs the race detector. Also reports dependency edges the executed
 /// schedule did not respect, dangling task/handle references, and
-/// dependency cycles. `pairs_checked` (optional) receives the number of
-/// conflicting pairs the sweep compared, for coverage reporting.
-/// Within a handle, violations come out in start order.
+/// dependency cycles. `uses_swept` (optional) receives the number of
+/// uses the sweep examined (each completed task's accesses to registered
+/// handles, for tasks that ran longer than 1e-9 s), for coverage
+/// reporting. Within a handle, violations come out in start order.
 std::vector<Violation> check_races(const RunRecord& run,
-                                   std::size_t* pairs_checked = nullptr);
+                                   std::size_t* uses_swept = nullptr);
 
 }  // namespace hetflow::check

@@ -22,13 +22,16 @@
 // HistoryModel::estimate(). Checked per call against the direct formula
 // by the test oracle in tests/memo_oracle.hpp.
 //
-// Invalidation: history drift is tracked automatically through
-// HistoryModel::version() (each entry snapshots the generation it read).
-// Platform mutations — DVFS table edits, capacity changes, device
-// addition — are *not* observable from here; whoever mutates the
-// platform must call invalidate() (Runtime::invalidate_cost_cache()
-// re-exports it). The platform is immutable during a normal run, so the
-// hot path never pays for that case.
+// Invalidation: only two things can stale an entry. History drift is
+// tracked automatically through HistoryModel::version() (each entry
+// snapshots the generation it read). Platform mutations — DVFS table
+// edits, capacity changes, device addition — are *not* observable from
+// here; whoever mutates the platform must call invalidate()
+// (Runtime::invalidate_cost_cache() re-exports it). The platform is
+// immutable during a normal run, so the hot path never pays for that
+// case. Device health is not an input: no Entry field depends on it, so
+// quarantine, probation and recovery leave the cache as it is (a
+// quarantined device is steered around through availability instead).
 #pragma once
 
 #include <cstdint>
@@ -85,15 +88,10 @@ class CostModelCache {
 
   /// Drops every cached entry; they refill lazily. Must be called after
   /// any platform mutation (DVFS tables, capacities, device set) — see
-  /// the invalidation contract above. The Runtime also calls this on
-  /// every DeviceHealth blacklist transition (quarantine, probation,
-  /// recovery): the cached terms themselves are health-independent, but
-  /// dropping the memo on each transition keeps the contract simple and
-  /// future-proofs any entry field that starts depending on health.
+  /// the invalidation contract above. Nothing else calls it.
   void invalidate();
 
-  /// Times invalidate() has run since construction (observability /
-  /// tests — regression coverage that health transitions drop the memo).
+  /// Times invalidate() has run since construction (observability).
   std::uint64_t invalidations() const noexcept { return invalidations_; }
 
  private:

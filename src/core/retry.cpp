@@ -46,14 +46,12 @@ bool DeviceHealth::note_failure(hw::DeviceId id, std::size_t blacklist_after,
   return true;
 }
 
-bool DeviceHealth::note_success(hw::DeviceId id) {
+void DeviceHealth::note_success(hw::DeviceId id) {
   Entry& e = entry(id);
   e.consecutive_failures = 0;
   if (e.state == State::Probation) {
     e.state = State::Healthy;
-    return true;
   }
-  return false;
 }
 
 void DeviceHealth::quarantine(hw::DeviceId id, sim::SimTime until) {

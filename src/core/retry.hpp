@@ -121,10 +121,8 @@ class DeviceHealth {
   bool note_failure(hw::DeviceId id, std::size_t blacklist_after,
                     sim::SimTime until);
   /// Records a successful completion (resets the consecutive counter;
-  /// promotes Probation back to Healthy). Returns true when the state
-  /// actually transitioned (Probation -> Healthy) so the caller can
-  /// invalidate health-sensitive caches on recovery.
-  bool note_success(hw::DeviceId id);
+  /// promotes Probation back to Healthy).
+  void note_success(hw::DeviceId id);
   /// The probation timer fired: Blacklisted -> Probation.
   void end_blacklist(hw::DeviceId id);
   /// Forces `id` into quarantine regardless of its failure counters —

@@ -512,7 +512,6 @@ sim::SimTime Runtime::wait_all() {
     DeviceState& state = device_states_[id];
     if (state.probation_event != 0 && queue_.cancel(state.probation_event)) {
       health_.end_blacklist(id);
-      cost_cache_.invalidate();
     }
     state.probation_event = 0;
   }
@@ -651,11 +650,8 @@ void Runtime::begin_execution(Task& task, hw::DeviceId id) {
   }
 
   const sim::SimTime now = queue_.now();
-  // Hand prefetch pins over to the execution-time acquire. (Guard on
-  // empty: the common no-prefetch run skips the hash probe per task.)
-  if (!prefetched_.empty() && prefetched_.erase(task.id()) > 0) {
-    data_.release_prefetch(task.accesses(), device.memory_node());
-  }
+  // Hand prefetch pins over to the execution-time acquire.
+  drop_prefetch(task);
   // Data transfers begin immediately; the launch overhead overlaps them.
   const sim::SimTime data_ready =
       data_.acquire(task.accesses(), device.memory_node(), now);
@@ -732,43 +728,50 @@ void Runtime::begin_execution(Task& task, hw::DeviceId id) {
   }
 }
 
+DeviceRunStats& Runtime::end_attempt(Task& task, hw::DeviceId id,
+                                     sim::SimTime started, double busy_s,
+                                     std::size_t dvfs_index,
+                                     trace::SpanKind kind) {
+  DeviceState& state = device_states_[id];
+  HETFLOW_REQUIRE(state.running == &task);
+  state.running = nullptr;
+  // The caller zeroed the event that fired; any other is still pending.
+  for (sim::EventId* pending :
+       {&state.completion_event, &state.watchdog_event}) {
+    if (*pending != 0) {
+      HETFLOW_REQUIRE(queue_.cancel(*pending));
+      *pending = 0;
+    }
+  }
+  const hw::Device& device = platform_->device(id);
+  data_.release(task.accesses(), device.memory_node());
+  // A failed attempt that never got going (killed before its start) has
+  // no span. The enabled check is hoisted so an untraced run builds none.
+  if (tracer_.enabled() && (kind == trace::SpanKind::Exec || busy_s > 0.0)) {
+    tracer_.add(
+        trace::Span{task.id(), task.name(), id, started, queue_.now(), kind});
+  }
+  DeviceRunStats& tally = stats_.devices[id];
+  tally.busy_seconds += busy_s;
+  tally.busy_energy_j +=
+      perf::EnergyModel::busy_energy_j(device, dvfs_index, busy_s);
+  return tally;
+}
+
 void Runtime::timeout_task(Task& task, hw::DeviceId id, sim::SimTime started,
                            std::size_t dvfs_index) {
-  DeviceState& state = device_states_[id];
-  const hw::Device& device = platform_->device(id);
-  HETFLOW_REQUIRE(state.running == &task);
-  state.watchdog_event = 0;
-  // Cancel the in-flight completion: the attempt is dead the moment the
-  // watchdog fires, even though the simulated execution would have ended
-  // later. A hung attempt has no completion event to cancel.
-  if (state.completion_event != 0) {
-    HETFLOW_REQUIRE(queue_.cancel(state.completion_event));
-    state.completion_event = 0;
-  }
-  state.running = nullptr;
-
-  data_.release(task.accesses(), device.memory_node());
-  // The device was occupied from attempt start until the cancellation.
+  // The attempt is dead the moment the watchdog fires, even though the
+  // simulated execution would have ended later (a hung attempt has no
+  // completion event at all). The device was occupied until now.
+  device_states_[id].watchdog_event = 0;
   const double busy_s = std::max(0.0, queue_.now() - started);
-  DeviceRunStats& tally = charge_attempt(device, dvfs_index, busy_s);
+  DeviceRunStats& tally = end_attempt(task, id, started, busy_s, dvfs_index,
+                                      trace::SpanKind::FailedExec);
   ++tally.failed_attempts;
   ++tally.timeouts;
-  if (recorder_ != nullptr) {
-    obs::Event event;
-    event.kind = obs::EventKind::Timeout;
-    event.time = queue_.now();
-    event.device = static_cast<std::int64_t>(id);
-    event.task = task.id();
-    event.aux = task.attempts();
-    event.name = task.name();
-    recorder_->record(std::move(event));
-  }
-  if (busy_s > 0.0) {
-    tracer_.add(trace::Span{task.id(), task.name(), id, started, queue_.now(),
-                            trace::SpanKind::FailedExec});
-  }
+  record_event(obs::EventKind::Timeout, id, &task);
   HETFLOW_DEBUG << "task '" << task.name() << "' timed out on "
-                << device.name() << " after "
+                << platform_->device(id).name() << " after "
                 << options_.retry.timeout_s << " s (attempt "
                 << task.attempts() << ")";
   recover_attempt(task, id);
@@ -776,20 +779,10 @@ void Runtime::timeout_task(Task& task, hw::DeviceId id, sim::SimTime started,
 
 void Runtime::finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
                           double busy_s, std::size_t dvfs_index) {
-  DeviceState& state = device_states_[id];
-  const hw::Device& device = platform_->device(id);
-  HETFLOW_REQUIRE(state.running == &task);
-  state.running = nullptr;
-  state.completion_event = 0;
-  if (state.watchdog_event != 0) {
-    queue_.cancel(state.watchdog_event);
-    state.watchdog_event = 0;
-  }
-
-  data_.release(task.accesses(), device.memory_node());
-  if (health_.note_success(id)) {
-    cost_cache_.invalidate();  // Probation -> Healthy transition
-  }
+  device_states_[id].completion_event = 0;
+  ++end_attempt(task, id, started, busy_s, dvfs_index, trace::SpanKind::Exec)
+        .tasks_completed;
+  health_.note_success(id);
   set_task_state(task, TaskState::Completed);
   task.mutable_times().completed = queue_.now();
   bool resurrection_rerun = false;
@@ -807,16 +800,9 @@ void Runtime::finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
 
   // Feed the measurement back, normalized to the nominal DVFS point.
   if (options_.use_history_model) {
+    const hw::Device& device = platform_->device(id);
     history_.record(task.codelet().id(), device.type(), task.flops(),
                     busy_s / device.time_scale(dvfs_index));
-  }
-
-  ++charge_attempt(device, dvfs_index, busy_s).tasks_completed;
-  if (tracer_.enabled()) {
-    // Hoisted enabled check: Span construction copies the task name, a
-    // real cost per task when tracing is off.
-    tracer_.add(trace::Span{task.id(), task.name(), id, started,
-                            queue_.now(), trace::SpanKind::Exec});
   }
 
   --pending_;
@@ -864,33 +850,14 @@ void Runtime::finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
 
 void Runtime::fail_task(Task& task, hw::DeviceId id, sim::SimTime started,
                         double busy_s, std::size_t dvfs_index) {
-  DeviceState& state = device_states_[id];
-  const hw::Device& device = platform_->device(id);
-  HETFLOW_REQUIRE(state.running == &task);
-  state.running = nullptr;
-  state.completion_event = 0;
-  if (state.watchdog_event != 0) {
-    queue_.cancel(state.watchdog_event);
-    state.watchdog_event = 0;
-  }
-
-  data_.release(task.accesses(), device.memory_node());
-  ++charge_attempt(device, dvfs_index, busy_s).failed_attempts;
-  tracer_.add(trace::Span{task.id(), task.name(), id, started, queue_.now(),
-                          trace::SpanKind::FailedExec});
-  HETFLOW_DEBUG << "task '" << task.name() << "' failed on " << device.name()
-                << " (attempt " << task.attempts() << ")";
+  device_states_[id].completion_event = 0;
+  ++end_attempt(task, id, started, busy_s, dvfs_index,
+                trace::SpanKind::FailedExec)
+        .failed_attempts;
+  HETFLOW_DEBUG << "task '" << task.name() << "' failed on "
+                << platform_->device(id).name() << " (attempt "
+                << task.attempts() << ")";
   recover_attempt(task, id);
-}
-
-DeviceRunStats& Runtime::charge_attempt(const hw::Device& device,
-                                       std::size_t dvfs_index,
-                                       double busy_s) {
-  DeviceRunStats& tally = stats_.devices[device.id()];
-  tally.busy_seconds += busy_s;
-  tally.busy_energy_j +=
-      perf::EnergyModel::busy_energy_j(device, dvfs_index, busy_s);
-  return tally;
 }
 
 void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
@@ -938,15 +905,8 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
 void Runtime::requeue_attempt(Task& task, hw::DeviceId device_id) {
   if (recorder_ != nullptr) {
     recorder_->devices().retry(device_id);
-    obs::Event event;
-    event.kind = obs::EventKind::Retry;
-    event.time = queue_.now();
-    event.device = static_cast<std::int64_t>(device_id);
-    event.task = task.id();
-    event.aux = task.attempts();
-    event.name = task.name();
-    recorder_->record(std::move(event));
   }
+  record_event(obs::EventKind::Retry, device_id, &task);
   FailurePolicy policy = options_.failure_policy;
   // A quarantined device cannot take its own retry: divert to the
   // scheduler so the task lands on a surviving device. (Blacklisting
@@ -982,8 +942,7 @@ void Runtime::requeue_attempt(Task& task, hw::DeviceId device_id) {
             "FailurePolicy::RetrySameDevice or a dynamic policy",
             scheduler_->name().c_str()));
       }
-      set_task_state(task, TaskState::Ready);
-      task.set_dvfs_state(std::nullopt);
+      unqueue(task, TaskState::Ready);
       scheduler_->on_task_failed(task, device_id);
       scheduler_->on_task_ready(task);
       break;
@@ -992,14 +951,10 @@ void Runtime::requeue_attempt(Task& task, hw::DeviceId device_id) {
 }
 
 void Runtime::blacklist_device(hw::DeviceId device_id) {
-  const hw::Device& device = platform_->device(device_id);
   DeviceState& state = device_states_[device_id];
-  // Health transition (Healthy/Probation -> Blacklisted): drop the cost
-  // memo so no estimate computed against the pre-quarantine device set
-  // survives the transition.
-  cost_cache_.invalidate();
-  record_device_event(obs::EventKind::Blacklist, device_id);
-  HETFLOW_DEBUG << "device " << device.name() << " blacklisted after "
+  record_event(obs::EventKind::Blacklist, device_id, nullptr);
+  HETFLOW_DEBUG << "device " << platform_->device(device_id).name()
+                << " blacklisted after "
                 << health_.consecutive_failures(device_id)
                 << " consecutive failures (probation in "
                 << options_.retry.probation_s << " s)";
@@ -1010,35 +965,59 @@ void Runtime::blacklist_device(hw::DeviceId device_id) {
   orphaned.swap(state.queue);
   state.queued_est_seconds = 0.0;
   for (Task* orphan : orphaned) {
-    if (prefetched_.erase(orphan->id()) > 0) {
-      data_.release_prefetch(orphan->accesses(), device.memory_node());
-    }
-    set_task_state(*orphan, TaskState::Ready);
-    orphan->set_dvfs_state(std::nullopt);
+    unqueue(*orphan, TaskState::Ready);
     scheduler_->on_task_ready(*orphan);
   }
 
-  // Probation timer: the device re-enters service tentatively — one
-  // more failure before a success re-quarantines it immediately.
-  state.probation_event =
-      queue_.schedule_after(options_.retry.probation_s, [this, device_id] {
-        device_states_[device_id].probation_event = 0;
-        health_.end_blacklist(device_id);
-        cost_cache_.invalidate();  // Blacklisted -> Probation transition
-        record_device_event(obs::EventKind::Probation, device_id);
-        pump_device(device_id);
-      });
+  // The device re-enters service tentatively — one more failure before
+  // a success re-quarantines it immediately.
+  arm_probation(device_id, queue_.now() + options_.retry.probation_s);
 }
 
-void Runtime::record_device_event(obs::EventKind kind, hw::DeviceId id) {
-  if (recorder_ != nullptr) {
-    obs::Event event;
-    event.kind = kind;
-    event.time = queue_.now();
-    event.device = static_cast<std::int64_t>(id);
-    event.name = platform_->device(id).name();
-    recorder_->record(std::move(event));
+void Runtime::arm_probation(hw::DeviceId id, sim::SimTime at) {
+  device_states_[id].probation_event = queue_.schedule_at(at, [this, id] {
+    device_states_[id].probation_event = 0;
+    health_.end_blacklist(id);
+    record_event(obs::EventKind::Probation, id, nullptr);
+    pump_device(id);
+  });
+}
+
+void Runtime::unqueue(Task& task, TaskState state) {
+  drop_prefetch(task);
+  set_task_state(task, state);
+  task.set_dvfs_state(std::nullopt);
+}
+
+void Runtime::drop_prefetch(const Task& task) {
+  // Guard on empty: the common no-prefetch run skips the hash probe. The
+  // node is looked up only once the erase proves the task was queued on
+  // a device — an abandoned task may never have had one.
+  if (!prefetched_.empty() && prefetched_.erase(task.id()) > 0) {
+    data_.release_prefetch(task.accesses(),
+                           platform_->device(task.device()).memory_node());
   }
+}
+
+void Runtime::record_event(obs::EventKind kind, std::int64_t device,
+                           const Task* task) {
+  if (recorder_ == nullptr) {
+    return;
+  }
+  obs::Event event;
+  event.kind = kind;
+  event.time = queue_.now();
+  event.device = device;
+  if (task != nullptr) {
+    event.task = task->id();
+    event.name = task->name();
+    if (kind == obs::EventKind::Retry || kind == obs::EventKind::Timeout) {
+      event.aux = task->attempts();
+    }
+  } else {
+    event.name = platform_->device(static_cast<hw::DeviceId>(device)).name();
+  }
+  recorder_->record(std::move(event));
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,9 +1047,8 @@ void Runtime::fail_node(const NodeFault& fault) {
       state.probation_event = 0;
     }
     health_.quarantine(id, until);
-    record_device_event(obs::EventKind::Blacklist, id);
+    record_event(obs::EventKind::Blacklist, id, nullptr);
   }
-  cost_cache_.invalidate();
 
   // 2. Kill the in-flight attempts. Pins drop NOW — invalidate_node
   // zeroes the pin ledger below, so a release after the sweep would
@@ -1078,36 +1056,20 @@ void Runtime::fail_node(const NodeFault& fault) {
   // layer is consistent again.
   std::vector<std::pair<TaskId, hw::DeviceId>> victims;
   for (const hw::DeviceId id : fault.devices) {
-    DeviceState& state = device_states_[id];
-    if (state.running == nullptr) {
+    Task* const victim = device_states_[id].running;
+    if (victim == nullptr) {
       continue;
     }
-    Task& victim = *state.running;
-    state.running = nullptr;
-    if (state.completion_event != 0) {
-      queue_.cancel(state.completion_event);
-      state.completion_event = 0;
-    }
-    if (state.watchdog_event != 0) {
-      queue_.cancel(state.watchdog_event);
-      state.watchdog_event = 0;
-    }
-    const hw::Device& device = platform_->device(id);
-    data_.release(victim.accesses(), device.memory_node());
-    const double busy_s = std::max(0.0, queue_.now() - victim.times().started);
-    ++charge_attempt(device, dvfs_or_nominal(victim, device), busy_s)
+    const sim::SimTime started = victim->times().started;
+    ++end_attempt(*victim, id, started, std::max(0.0, queue_.now() - started),
+                  dvfs_or_nominal(*victim, platform_->device(id)),
+                  trace::SpanKind::FailedExec)
           .failed_attempts;
-    state.busy_until = queue_.now();
-    if (busy_s > 0.0) {
-      tracer_.add(trace::Span{victim.id(), victim.name(), id,
-                              victim.times().started, queue_.now(),
-                              trace::SpanKind::FailedExec});
-    }
     // Off the device before the data sweep: recover_datum treats a
     // *Running* last writer as "regenerating naturally", which must not
     // match an attempt that just died with the node.
-    set_task_state(victim, TaskState::Ready);
-    victims.emplace_back(victim.id(), id);
+    set_task_state(*victim, TaskState::Ready);
+    victims.emplace_back(victim->id(), id);
   }
 
   // 3. Strand the queued work (prefetch pins dropped now, handback
@@ -1115,18 +1077,12 @@ void Runtime::fail_node(const NodeFault& fault) {
   std::vector<Task*> orphans;
   for (const hw::DeviceId id : fault.devices) {
     DeviceState& state = device_states_[id];
-    std::deque<Task*> queued;
-    queued.swap(state.queue);
-    state.queued_est_seconds = 0.0;
-    const hw::Device& device = platform_->device(id);
-    for (Task* orphan : queued) {
-      if (!prefetched_.empty() && prefetched_.erase(orphan->id()) > 0) {
-        data_.release_prefetch(orphan->accesses(), device.memory_node());
-      }
-      set_task_state(*orphan, TaskState::Ready);
-      orphan->set_dvfs_state(std::nullopt);
+    for (Task* orphan : state.queue) {
+      unqueue(*orphan, TaskState::Ready);
       orphans.push_back(orphan);
     }
+    state.queue.clear();
+    state.queued_est_seconds = 0.0;
   }
 
   // 4. The node's memories die with it: every replica there is gone,
@@ -1160,14 +1116,7 @@ void Runtime::fail_node(const NodeFault& fault) {
   // memories come back empty (cold) at the same instant.
   if (fault.recover_after >= 0.0) {
     for (const hw::DeviceId id : fault.devices) {
-      device_states_[id].probation_event =
-          queue_.schedule_at(until, [this, id] {
-            device_states_[id].probation_event = 0;
-            health_.end_blacklist(id);
-            cost_cache_.invalidate();
-            record_device_event(obs::EventKind::Probation, id);
-            pump_device(id);
-          });
+      arm_probation(id, until);
     }
     fault_events_.push_back(queue_.schedule_at(until, [this, &fault] {
       for (const hw::MemoryNodeId node : fault.memory_nodes) {
@@ -1268,12 +1217,7 @@ void Runtime::resurrect_writer(TaskId id) {
 }
 
 void Runtime::park_task(Task& task) {
-  if (!prefetched_.empty() && prefetched_.erase(task.id()) > 0) {
-    data_.release_prefetch(task.accesses(),
-                           platform_->device(task.device()).memory_node());
-  }
-  set_task_state(task, TaskState::Submitted);
-  task.set_dvfs_state(std::nullopt);
+  unqueue(task, TaskState::Submitted);
   parked_.push_back(task.id());
   ++stats_.tasks_parked;
   HETFLOW_DEBUG << "parking task '" << task.name()
@@ -1324,22 +1268,11 @@ void Runtime::abandon_task(Task& task) {
                   << ")";
     set_task_state(*doomed, TaskState::Abandoned);
     ++stats_.tasks_lost;
-    if (recorder_ != nullptr) {
-      obs::Event event;
-      event.kind = obs::EventKind::Abandon;
-      event.time = queue_.now();
-      event.task = doomed->id();
-      event.name = doomed->name();
-      recorder_->record(std::move(event));
-    }
+    record_event(obs::EventKind::Abandon, -1, doomed);
     HETFLOW_REQUIRE(pending_ > 0);
     --pending_;
     deferred_.erase(doomed->id());
-    if (prefetched_.erase(doomed->id()) > 0) {
-      data_.release_prefetch(
-          doomed->accesses(),
-          platform_->device(doomed->device()).memory_node());
-    }
+    drop_prefetch(*doomed);
     if (!pending_regen_.empty()) {
       // A doomed regenerator strands its parked waiters: the lost value
       // can never come back, so they die with it.

@@ -348,13 +348,22 @@ class Runtime {
   /// task has left the device queue): attempt accounting, data acquire,
   /// noise/failure sampling, completion + watchdog events.
   void begin_execution(Task& task, hw::DeviceId id);
+  /// The one end of every attempt (completion, failure, timeout, node
+  /// kill): takes it off the device, cancels whichever of the completion
+  /// and watchdog events is still pending (the caller zeroes the one
+  /// that fired), releases its pins, records its span (always for Exec,
+  /// for a failure only when busy_s > 0) and charges busy_s and its
+  /// energy. Returns the device tally so the caller counts the outcome.
+  DeviceRunStats& end_attempt(Task& task, hw::DeviceId id,
+                              sim::SimTime started, double busy_s,
+                              std::size_t dvfs_index, trace::SpanKind kind);
   void finish_task(Task& task, hw::DeviceId id, sim::SimTime started,
                    double busy_s, std::size_t dvfs_index);
   void fail_task(Task& task, hw::DeviceId id, sim::SimTime started,
                  double busy_s, std::size_t dvfs_index);
-  /// The per-attempt timeout watchdog fired: cancels the in-flight
-  /// completion event, charges the partial busy time as a failed
-  /// attempt, and recovers like any other failure.
+  /// The per-attempt timeout watchdog fired: ends the attempt, charging
+  /// the partial busy time as a failed one, and recovers like any other
+  /// failure.
   void timeout_task(Task& task, hw::DeviceId id, sim::SimTime started,
                     std::size_t dvfs_index);
   /// Shared tail of fail_task and the timeout watchdog: health tracking,
@@ -366,6 +375,13 @@ class Runtime {
   /// Quarantines `device_id`: hands its queued tasks back to the
   /// scheduler and arms the probation timer.
   void blacklist_device(hw::DeviceId device_id);
+  /// At `at` the quarantined device `id` enters probation and pumps.
+  void arm_probation(hw::DeviceId id, sim::SimTime at);
+  /// Takes `task` out of a device's hands: drops its prefetch pins,
+  /// moves it to `state` and forgets its DVFS choice.
+  void unqueue(Task& task, TaskState state);
+  /// Releases the prefetch pins `task` holds, if any.
+  void drop_prefetch(const Task& task);
   /// Drops `task` (attempt budget exhausted under ExhaustionPolicy::Drop)
   /// together with every task that transitively depends on it.
   void abandon_task(Task& task);
@@ -383,13 +399,11 @@ class Runtime {
   void park_task(Task& task);
   /// Re-readies parked tasks whose accesses are no longer blocked.
   void release_parked();
-  /// Logs a Blacklist/Probation event for `id` at the current time (no-op
-  /// with metrics off).
-  void record_device_event(obs::EventKind kind, hw::DeviceId id);
-  /// Charges one attempt's busy time and energy to the device's stats,
-  /// returned so the caller counts the attempt's outcome.
-  DeviceRunStats& charge_attempt(const hw::Device& device,
-                                 std::size_t dvfs_index, double busy_s);
+  /// Logs an obs event at the current time (no-op with metrics off):
+  /// named after `task` when given (Retry and Timeout carry its attempt
+  /// number), else after `device`; `device` -1 = no device track.
+  void record_event(obs::EventKind kind, std::int64_t device,
+                    const Task* task);
   /// Completes RunStats from the live tallies and, with metrics on,
   /// publishes the stats-backed counters and end-of-run gauges.
   void finalize_stats();

@@ -113,6 +113,10 @@ TEST(RuntimeAudit, AuditOfCompletedRunPasses) {
   rt.wait_all();
   const CheckReport report = audit_run(rt);
   EXPECT_TRUE(report.passed()) << report.summary();
+  // A clean run still shows what the race sweep examined: both uses of d.
+  EXPECT_NE(report.summary().find("handle uses: 2 checked"),
+            std::string::npos)
+      << report.summary();
 }
 
 TEST(RuntimeAudit, SnapshotCapturesTasksTopologyAndSpans) {

@@ -488,7 +488,8 @@ TEST(Retry, DeviceHealthStateMachine) {
   EXPECT_FALSE(health.note_failure(0, 3, 10.0));
   EXPECT_FALSE(health.blacklisted(0));
   // A success resets the streak (no state transition while Healthy).
-  EXPECT_FALSE(health.note_success(0));
+  health.note_success(0);
+  EXPECT_EQ(health.state(0), DeviceHealth::State::Healthy);
   EXPECT_FALSE(health.note_failure(0, 3, 10.0));
   EXPECT_FALSE(health.note_failure(0, 3, 10.0));
   // Third consecutive strike quarantines.
@@ -501,10 +502,11 @@ TEST(Retry, DeviceHealthStateMachine) {
   EXPECT_FALSE(health.blacklisted(0));
   EXPECT_TRUE(health.note_failure(0, 3, 20.0));
   EXPECT_EQ(health.blacklist_events(0), 2u);
-  // ...but a success during probation restores full health — and
-  // reports the Probation -> Healthy transition to the caller.
+  // ...but a success during probation restores full health.
   health.end_blacklist(0);
-  EXPECT_TRUE(health.note_success(0));
+  EXPECT_EQ(health.state(0), DeviceHealth::State::Probation);
+  health.note_success(0);
+  EXPECT_EQ(health.state(0), DeviceHealth::State::Healthy);
   EXPECT_FALSE(health.note_failure(0, 3, 30.0));
   // Device 1 is independent.
   EXPECT_FALSE(health.blacklisted(1));

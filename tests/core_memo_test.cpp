@@ -267,39 +267,9 @@ TEST(CostMemoization, ExplicitInvalidationIsTransparent) {
   EXPECT_EQ(run(true), run(false));
 }
 
-// Blacklist transitions must invalidate the memo: quarantine
-// (Healthy -> Blacklisted), probation expiry (Blacklisted -> Probation)
-// and recovery (Probation -> Healthy) each drop the cache, so no
-// estimate computed against the pre-transition health state can be
-// served afterwards. The invalidation counter proves each transition
-// fired the hook; the stats cross-check proves transitions happened.
-TEST(CostMemoization, BlacklistTransitionsInvalidateCache) {
-  const hw::Platform p = hw::make_workstation();
-  core::RuntimeOptions options;
-  options.seed = 9;
-  options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);
-  options.failure_policy = core::FailurePolicy::Reschedule;
-  options.retry.max_attempts = 500;
-  options.retry.blacklist_after = 2;
-  options.retry.probation_s = 2.0;
-  core::Runtime rt(p, sched::make_scheduler("mct"), options);
-  const std::uint64_t before = rt.cost_cache().invalidations();
-  for (int i = 0; i < 40; ++i) {
-    rt.submit("t" + std::to_string(i), hetflow::testing::cpu_gpu_codelet(),
-              4e9, {});
-  }
-  rt.wait_all();
-  ASSERT_GT(rt.stats().blacklist_events, 0u);
-  // Every quarantine invalidates once, and its matching probation /
-  // recovery transition invalidates again — strictly more invalidations
-  // than blacklist events.
-  EXPECT_GT(rt.cost_cache().invalidations(),
-            before + rt.stats().blacklist_events);
-}
-
-// The regression the hook closes: through quarantine, probation and
-// recovery every estimate must still match the direct formula — a stale
-// memo surviving a health transition would not.
+// No cached term depends on device health, so the memo survives every
+// health transition: through quarantine, probation and recovery each
+// estimate must still match the direct formula bit for bit.
 TEST(CostMemoization, EstimatesMatchDirectFormulaUnderBlacklisting) {
   core::RuntimeOptions options = noisy_options(19, true);
   options.failure_model.set_rate(hw::DeviceType::Gpu, 60.0);

@@ -92,10 +92,11 @@ class ReferenceClosure {
 };
 
 /// check_races as an all-pairs loop over the closure above.
-/// `pairs_checked` receives every conflicting pair of uses by distinct
-/// tasks, overlapping or not.
+/// `uses_swept` receives the number of uses a sweep has to examine:
+/// accesses to registered handles by completed tasks that ran longer
+/// than kEps.
 inline std::vector<check::Violation> reference_races(
-    const check::RunRecord& run, std::size_t* pairs_checked = nullptr) {
+    const check::RunRecord& run, std::size_t* uses_swept = nullptr) {
   using check::TaskRecord;
   using check::Violation;
   using check::ViolationKind;
@@ -188,6 +189,7 @@ inline std::vector<check::Violation> reference_races(
   };
   std::vector<std::vector<std::pair<std::size_t, data::AccessMode>>> by_handle(
       run.handle_count());
+  std::size_t uses = 0;
   for (std::size_t i = 0; i < run.tasks.size(); ++i) {
     const TaskRecord& task = run.tasks[i];
     if (!task.completed) {
@@ -196,10 +198,10 @@ inline std::vector<check::Violation> reference_races(
     for (const data::Access& access : task.accesses) {
       if (access.data < run.handle_count()) {
         by_handle[access.data].push_back({i, access.mode});
+        uses += task.end - task.start > kEps ? 1 : 0;
       }
     }
   }
-  std::size_t pairs = 0;
   for (std::size_t handle = 0; handle < by_handle.size(); ++handle) {
     const auto& uses = by_handle[handle];
     for (std::size_t x = 0; x < uses.size(); ++x) {
@@ -208,7 +210,6 @@ inline std::vector<check::Violation> reference_races(
             !conflicting(uses[x].second, uses[y].second)) {
           continue;
         }
-        ++pairs;
         const TaskRecord& a = run.tasks[uses[x].first];
         const TaskRecord& b = run.tasks[uses[y].first];
         if (std::min(a.end, b.end) - std::max(a.start, b.start) <= kEps) {
@@ -244,8 +245,8 @@ inline std::vector<check::Violation> reference_races(
       }
     }
   }
-  if (pairs_checked != nullptr) {
-    *pairs_checked = pairs;
+  if (uses_swept != nullptr) {
+    *uses_swept = uses;
   }
   return out;
 }
