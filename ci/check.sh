@@ -38,9 +38,10 @@
 #      eviction differential included), prefetch and cluster failure,
 #      >= 95% on src/util/json*.cpp (the number formatter, the
 #      writer and the parser) under the JsonWriter and Json suites,
-#      and >= 90% on src/core/runtime.cpp under the core, fault,
-#      prefetch and golden suites (gcovr when installed, plain gcov
-#      otherwise)
+#      >= 90% on src/core/runtime.cpp under the core, fault,
+#      prefetch and golden suites, and >= 90% on
+#      src/workflow/workflow.cpp under the workflow suites (gcovr when
+#      installed, plain gcov otherwise)
 #  11. lint: clang-tidy over files changed vs the merge base (all
 #      first-party files when git history is unavailable); fails on any
 #      diagnostic. Without clang-tidy installed, tools/lint.sh falls back
@@ -174,7 +175,7 @@ campaign_args=(--campaign surrogate --surface branin --evals 24 --batch 6)
 cmp <(grep best build-ci/campaign_straight.txt) \
     <(grep best build-ci/campaign_resumed.txt)
 
-echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json, core/runtime) ==="
+echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json, core/runtime, workflow/workflow) ==="
 # The obs, sched and data layers are what the golden and differential
 # suites pin down; unexecuted code there is unpinned code. Each floor
 # counts only the runs of its own test binaries (counters are reset in
@@ -196,7 +197,10 @@ echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json, core/ru
 #              cluster failure and the obs and schedule goldens: the
 #              attempt-ending, quarantine and node-fault paths all
 #              funnel through a few shared helpers, and the floor keeps
-#              every one of them exercised.
+#              every one of them exercised;
+#   src/workflow/workflow.cpp >= 90% under the workflow_* suites: the
+#              one-pass submission order's range, producer and cycle
+#              errors stay exercised.
 cmake -B build-cov -S . -DHETFLOW_COVERAGE=ON
 
 # coverage_floor <library target> <sources> <floor %> <test>...
@@ -261,6 +265,10 @@ coverage_floor hf_core 'src/core/runtime.cpp' 90 \
     obs_golden_test core_runtime_test core_dependency_test \
     core_partition_test core_memo_test sched_golden_test \
     core_redux_release_test
+coverage_floor hf_workflow 'src/workflow/workflow.cpp' 90 \
+    workflow_generators_test workflow_linalg_test workflow_dagfile_test \
+    workflow_campaign_test workflow_streaming_test workflow_spec_test \
+    workflow_transform_test workflow_characterize_test
 
 echo "=== [11/12] lint (changed files) ==="
 changed=()

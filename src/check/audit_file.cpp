@@ -222,12 +222,12 @@ AuditRecord parse_audit_json(const std::string& text) {
         parse_number_array<std::uint64_t>(entry.at("deps"), "run.tasks.deps");
     record.run.tasks.push_back(std::move(task));
   }
-  record.run.names = std::make_shared<util::StringInterner>();
+  record.run.names = std::make_shared<util::NameArena>();
   for (const util::Json& entry : run.at("spans").as_array()) {
     trace::Span span;
     span.task_id =
         parse_integer<std::uint64_t>(entry.at("task"), "run.spans.task");
-    span.name = record.run.names->intern_view(entry.at("name").as_string());
+    span.name = record.run.names->store(entry.at("name").as_string());
     span.device =
         parse_integer<hw::DeviceId>(entry.at("device"), "run.spans.device");
     span.start = entry.at("start").as_number();

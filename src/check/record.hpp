@@ -49,8 +49,8 @@ struct RunRecord {
   std::vector<trace::Span> spans;
   /// Owns the span names of a record parsed from a file (copies share
   /// it). Null for a live snapshot, whose spans borrow the runtime's
-  /// interned names.
-  std::shared_ptr<util::StringInterner> names;
+  /// stored names.
+  std::shared_ptr<util::NameArena> names;
 
   std::size_t handle_count() const noexcept { return handle_bytes.size(); }
 };

@@ -27,7 +27,7 @@ namespace hetflow::core {
 class Codelet {
  public:
   /// Storage stays owning (codelets are shared across runtimes, so they
-  /// cannot borrow from any one runtime's interner); the view parameter
+  /// cannot borrow from any one runtime's name arena); the view parameter
   /// just avoids a temporary std::string at the call sites.
   explicit Codelet(std::string_view name);
 

@@ -327,7 +327,7 @@ TaskId Runtime::submit(std::string_view name, CodeletPtr codelet, double flops,
     }
   }
   const TaskId id = tasks_.size();
-  Task& task = tasks_.emplace_back(id, names_.intern_view(name),
+  Task& task = tasks_.emplace_back(id, names_.store(name),
                                    std::move(codelet), flops, accesses);
   task.set_working_set_bytes(working_set);
   dep_mark_.push_back(0);  // ids are sequential; one stamp slot per task

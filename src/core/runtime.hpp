@@ -119,7 +119,8 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Registers a datum with its initial copy on `home_node`. The name is
-  /// interned by the data registry — no per-handle string allocation.
+  /// copied into the data registry's name arena — no per-handle string
+  /// allocation.
   data::DataId register_data(std::string_view name, std::uint64_t bytes,
                              hw::MemoryNodeId home_node = 0);
 
@@ -145,9 +146,9 @@ class Runtime {
 
   /// Submits one task. Dependencies are inferred from `accesses` against
   /// all previously submitted tasks. Returns the task id. The name is
-  /// interned (tasks borrow a stable view — no per-task string copy) and
-  /// the accesses are copied into the task's inline access list, so both
-  /// arguments may be transient.
+  /// copied into the name arena (tasks borrow a stable view — no per-task
+  /// string allocation) and the accesses into the task's inline access
+  /// list, so both arguments may be transient.
   TaskId submit(std::string_view name, CodeletPtr codelet, double flops,
                 std::span<const data::Access> accesses);
 
@@ -234,7 +235,7 @@ class Runtime {
   RuntimeOptions options_;
   /// Task-name arena. Declared before every member that can hold views
   /// into it (tasks_, tracer_, recorder_) so it is destroyed last.
-  util::StringInterner names_;
+  util::NameArena names_;
   sim::EventQueue queue_;
   data::DataManager data_;
   perf::HistoryModel history_;

@@ -51,10 +51,10 @@ struct TaskTimes {
 
 class Task {
  public:
-  /// `name` is borrowed, not copied — the caller (Runtime interns task
-  /// names; tests may pass string literals) must keep the characters
-  /// alive for the task's lifetime. `accesses` is copied into the inline
-  /// access list.
+  /// `name` is borrowed, not copied — the caller (Runtime keeps task
+  /// names in its arena; tests may pass string literals) must keep the
+  /// characters alive for the task's lifetime. `accesses` is copied into
+  /// the inline access list.
   Task(TaskId id, std::string_view name, CodeletPtr codelet, double flops,
        std::span<const data::Access> accesses);
 

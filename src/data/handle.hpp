@@ -19,7 +19,7 @@ using DataId = std::uint32_t;
 
 struct DataHandle {
   DataId id = 0;
-  /// View into the owning registry's interner — valid for the
+  /// View into the owning registry's name arena — valid for the
   /// registry's lifetime, no per-handle string allocation.
   std::string_view name;
   std::uint64_t bytes = 0;
@@ -31,7 +31,7 @@ class DataRegistry {
  public:
   /// Registers a datum whose initial valid copy lives on `home_node`.
   /// Zero-byte data is allowed (pure control dependencies). The name is
-  /// copied once into the registry's interner; the argument may be
+  /// copied once into the registry's name arena; the argument may be
   /// transient.
   DataId register_data(std::string_view name, std::uint64_t bytes,
                        hw::MemoryNodeId home_node);
@@ -49,7 +49,7 @@ class DataRegistry {
 
  private:
   /// Declared before handles_ so handle name views die first.
-  util::StringInterner names_;
+  util::NameArena names_;
   std::vector<DataHandle> handles_;
   std::uint64_t total_bytes_ = 0;
 };

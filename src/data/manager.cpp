@@ -29,9 +29,16 @@ DataId DataManager::register_data(std::string_view name, std::uint64_t bytes,
                                   hw::MemoryNodeId home_node) {
   HETFLOW_REQUIRE_MSG(home_node < platform_->memory_node_count(),
                       "home node out of range");
-  HETFLOW_REQUIRE_MSG(
-      bytes <= platform_->memory_node(home_node).capacity_bytes(),
-      "datum larger than its home memory node");
+  const hw::MemoryNode& home = platform_->memory_node(home_node);
+  if (bytes > home.capacity_bytes()) {
+    throw InvalidArgument(util::format(
+        "datum '%.*s' (%llu bytes) is larger than its home memory node %u "
+        "('%s', capacity %llu bytes)",
+        static_cast<int>(name.size()), name.data(),
+        static_cast<unsigned long long>(bytes), home_node,
+        home.name().c_str(),
+        static_cast<unsigned long long>(home.capacity_bytes())));
+  }
   const DataId id = registry_.register_data(name, bytes, home_node);
   directory_.note_registered(registry_.handle(id));
   // Ids are dense, so the new handle's per-node slots are exactly the

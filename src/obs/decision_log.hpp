@@ -36,7 +36,7 @@ struct DecisionCandidate {
 
 struct SchedDecision {
   std::uint64_t task = 0;
-  /// Borrowed view of the interned task name (stable for the runtime's
+  /// Borrowed view of the arena-stored task name (stable for the runtime's
   /// lifetime — decisions are resolved lazily at serialization time).
   std::string_view task_name;
   sim::SimTime time = 0.0;

@@ -50,7 +50,7 @@ struct Event {
   std::uint64_t bytes = 0;
   std::uint64_t aux = 0;  ///< attempt number for Retry/Timeout
   /// Task/datum name or free-form detail. Borrowed view into a source
-  /// stable for the runtime's lifetime (interned task/handle names,
+  /// stable for the runtime's lifetime (arena-stored task/handle names,
   /// Device::name()) — recording an event copies no string.
   std::string_view name;
 };

@@ -25,7 +25,7 @@ std::optional<SpanKind> parse_span_kind(std::string_view tag) noexcept;
 struct Span {
   std::uint64_t task_id = 0;
   /// Borrowed view — sources are stable for the runtime's lifetime
-  /// (interned task names, Device::name()); exporters that outlive the
+  /// (arena-stored task names, Device::name()); exporters that outlive the
   /// runtime serialize to owning strings first. Keeps span capture on
   /// the hot path copy-free.
   std::string_view name;

@@ -1,39 +1,14 @@
 #include "util/interner.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 namespace hetflow::util {
 
-NameId StringInterner::intern_slow(std::string_view text) {
-  if (const auto it = ids_.find(text); it != ids_.end()) {
-    mru_view_ = it->first;
-    mru_id_ = it->second;
-    return it->second;
-  }
-  const std::string_view stable = append_to_arena(text);
-  const NameId id = static_cast<NameId>(views_.size());
-  views_.push_back(stable);
-  ids_.emplace(stable, id);
-  mru_view_ = stable;
-  mru_id_ = id;
-  return id;
-}
-
-std::string_view StringInterner::append_to_arena(std::string_view text) {
-  if (text.size() > chunk_capacity_ - chunk_used_ || chunks_.empty()) {
-    const std::size_t chunk_size = std::max(kChunkBytes, text.size());
-    chunks_.push_back(std::make_unique<char[]>(chunk_size));
-    chunk_used_ = 0;
-    chunk_capacity_ = chunk_size;
-    arena_bytes_ += chunk_size;
-  }
-  char* dest = chunks_.back().get() + chunk_used_;
-  if (!text.empty()) {
-    std::memcpy(dest, text.data(), text.size());
-  }
-  chunk_used_ += text.size();
-  return {dest, text.size()};
+void NameArena::add_chunk(std::size_t min_bytes) {
+  const std::size_t chunk_size = std::max(kChunkBytes, min_bytes);
+  // for_overwrite: the chunk is written before it is read.
+  chunks_.push_back(std::make_unique_for_overwrite<char[]>(chunk_size));
+  chunk_used_ = 0;
+  chunk_capacity_ = chunk_size;
+  arena_bytes_ += chunk_size;
 }
 
 }  // namespace hetflow::util

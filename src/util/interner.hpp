@@ -1,75 +1,63 @@
-// StringInterner — append-only string deduplication with stable views.
+// NameArena — append-only storage for task and datum names with stable
+// views.
 //
 // The million-task hot path names every task and datum, and copying those
 // names into Task/DataHandle/Span objects (one std::string each) is a
-// measurable per-task cost and a 32-byte-per-object footprint. The
-// interner stores each distinct string once in a chunked character arena
-// and hands out (a) a dense NameId and (b) a std::string_view into the
-// arena. Views stay valid for the interner's lifetime: chunks are never
-// reallocated or freed, so holders (Task, DataHandle, trace::Span,
-// obs::Event) carry a 16-byte view instead of an owning string.
+// measurable per-task cost and a 32-byte-per-object footprint. The arena
+// copies each name into a chunked character buffer and hands out a
+// std::string_view into it. Views stay valid for the arena's lifetime:
+// chunks are never reallocated or freed, so holders (Task, DataHandle,
+// trace::Span, obs::Event) carry a 16-byte view instead of an owning
+// string.
 //
-// Lifetime contract: the interner must outlive every object holding one
-// of its views — in practice it is the first-declared member of the
-// owning Runtime/DataRegistry, destroyed last. Not thread-safe; each
-// runtime owns its own interner (the sweep engine's thread-confinement
-// rule covers it).
+// The arena does not deduplicate: every task and file name of the
+// generated workflows is unique, so a lookup table would miss on every
+// name. Only a name equal to the one stored just before it shares that
+// name's storage (callers that label a run of tasks alike).
+//
+// Lifetime contract: the arena must outlive every object holding one of
+// its views — in practice it is the first-declared member of the owning
+// Runtime/DataRegistry, destroyed last. Not thread-safe; each runtime owns
+// its own arena (the sweep engine's thread-confinement rule covers it).
 #pragma once
 
-#include <cstdint>
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace hetflow::util {
 
-/// Dense id of an interned string (index into the interner's table).
-using NameId = std::uint32_t;
-
-class StringInterner {
+class NameArena {
  public:
-  static constexpr NameId kInvalidName = 0xffffffffU;
+  NameArena() = default;
+  NameArena(const NameArena&) = delete;
+  NameArena& operator=(const NameArena&) = delete;
 
-  StringInterner() = default;
-  StringInterner(const StringInterner&) = delete;
-  StringInterner& operator=(const StringInterner&) = delete;
-
-  /// Returns the id of `text`, copying it into the arena on first sight.
-  /// Hot loops intern the same name millions of times in a row (every
-  /// task of a workflow stage shares one label), so the last hit is
-  /// answered from a one-entry MRU slot before touching the hash table.
-  NameId intern(std::string_view text) {
-    if (mru_id_ != kInvalidName && text == mru_view_) {
-      return mru_id_;
+  /// Copies `text` into the arena and returns the stable view. A name
+  /// equal to the previous one returns the previous view.
+  std::string_view store(std::string_view text) {
+    if (text == last_) {
+      return last_;
     }
-    return intern_slow(text);
-  }
-
-  /// Convenience: intern and return the stable arena view in one call.
-  std::string_view intern_view(std::string_view text) {
-    return views_[intern(text)];
-  }
-
-  /// The stable view for an id produced by intern().
-  std::string_view view(NameId id) const {
-    // Bounds guard without dragging util/error.hpp into this leaf header.
-    if (id >= views_.size()) {
-      __builtin_trap();
+    if (text.size() > chunk_capacity_ - chunk_used_) {
+      add_chunk(text.size());
     }
-    return views_[id];
+    char* dest = chunks_.back().get() + chunk_used_;
+    std::copy(text.begin(), text.end(), dest);
+    chunk_used_ += text.size();
+    last_ = {dest, text.size()};
+    return last_;
   }
 
-  /// Number of distinct strings interned.
-  std::size_t size() const noexcept { return views_.size(); }
-  /// Arena bytes currently reserved (observability for memory audits).
+  /// Bytes reserved across all chunks (observability for memory audits).
   std::size_t arena_bytes() const noexcept { return arena_bytes_; }
 
  private:
-  /// Hash-table lookup/insert behind the MRU fast path.
-  NameId intern_slow(std::string_view text);
-  /// Copies `text` into the arena and returns the stable view.
-  std::string_view append_to_arena(std::string_view text);
+  /// Starts a chunk of at least `min_bytes` (a name longer than the chunk
+  /// size gets a chunk of its own).
+  void add_chunk(std::size_t min_bytes);
 
   static constexpr std::size_t kChunkBytes = 64 * 1024;
 
@@ -77,13 +65,7 @@ class StringInterner {
   std::size_t chunk_used_ = 0;      ///< bytes used in the last chunk
   std::size_t chunk_capacity_ = 0;  ///< size of the last chunk
   std::size_t arena_bytes_ = 0;
-  /// Keys are views into the arena (stable), so lookup of a caller's
-  /// transient string_view needs no temporary std::string.
-  std::unordered_map<std::string_view, NameId> ids_;
-  std::vector<std::string_view> views_;
-  /// One-entry MRU: the arena view and id of the last intern() answer.
-  std::string_view mru_view_;
-  NameId mru_id_ = kInvalidName;
+  std::string_view last_;  ///< the view store() returned last
 };
 
 }  // namespace hetflow::util

@@ -18,7 +18,10 @@ std::uint64_t scaled(double scale, double bytes) {
 }  // namespace
 
 Workflow make_montage(std::size_t tiles, double scale) {
-  HETFLOW_REQUIRE_MSG(tiles >= 2, "montage needs at least 2 tiles");
+  if (tiles < 2) {
+    throw InvalidArgument(
+        util::format("montage needs at least 2 tiles, got %zu", tiles));
+  }
   Workflow w(util::format("montage-%zu", tiles));
 
   std::vector<std::size_t> raw(tiles), projected(tiles);

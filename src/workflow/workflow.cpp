@@ -1,6 +1,8 @@
 #include "workflow/workflow.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 #include "sched/registry.hpp"
 #include "util/strings.hpp"
@@ -71,9 +73,11 @@ util::Digraph Workflow::task_graph() const {
   return graph;
 }
 
-void Workflow::validate() const {
-  std::vector<bool> produced(files_.size(), false);
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+Workflow::Order Workflow::checked_order() const {
+  const std::size_t n = tasks_.size();
+  Order result;
+  result.producer.assign(files_.size(), npos);
+  for (std::size_t t = 0; t < n; ++t) {
     const WorkflowTask& task = tasks_[t];
     for (std::size_t in : task.inputs) {
       if (in >= files_.size()) {
@@ -88,18 +92,66 @@ void Workflow::validate() const {
             "workflow '%s': task '%s' writes unknown file %zu", name_.c_str(),
             task.name.c_str(), out));
       }
-      if (produced[out]) {
+      if (result.producer[out] != npos) {
         throw InvalidArgument(util::format(
             "workflow '%s': file '%s' has multiple producers", name_.c_str(),
             files_[out].name.c_str()));
       }
-      produced[out] = true;
+      result.producer[out] = t;
     }
   }
-  if (task_graph().has_cycle()) {
+  // Successor lists in compressed rows: one edge per (input, producer)
+  // pair, duplicates kept, so in-degrees match task_graph()'s.
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<std::size_t> in_degree(n, 0);
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t in : tasks_[t].inputs) {
+      const std::size_t p = result.producer[in];
+      if (p != npos && p != t) {
+        ++first[p + 1];
+        ++in_degree[t];
+      }
+    }
+  }
+  for (std::size_t t = 0; t < n; ++t) {
+    first[t + 1] += first[t];
+  }
+  std::vector<std::size_t> successors(first[n]);
+  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t in : tasks_[t].inputs) {
+      const std::size_t p = result.producer[in];
+      if (p != npos && p != t) {
+        successors[fill[p]++] = t;
+      }
+    }
+  }
+  // Kahn's algorithm over a min-heap, as Digraph::topological_order.
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      ready;
+  for (std::size_t t = 0; t < n; ++t) {
+    if (in_degree[t] == 0) {
+      ready.push(t);
+    }
+  }
+  result.tasks.reserve(n);
+  while (!ready.empty()) {
+    const std::size_t t = ready.top();
+    ready.pop();
+    result.tasks.push_back(t);
+    for (std::size_t e = first[t]; e < first[t + 1]; ++e) {
+      if (--in_degree[successors[e]] == 0) {
+        ready.push(successors[e]);
+      }
+    }
+  }
+  if (result.tasks.size() != n) {
     throw InvalidArgument("workflow '" + name_ + "' has a dependency cycle");
   }
+  return result;
 }
+
+void Workflow::validate() const { checked_order(); }
 
 std::size_t Workflow::depth() const {
   if (tasks_.empty()) {
@@ -135,7 +187,7 @@ namespace {
 std::vector<core::TaskId> submit_with_homes(
     core::Runtime& runtime, const Workflow& workflow,
     const CodeletLibrary& library, const std::vector<hw::MemoryNodeId>& homes) {
-  workflow.validate();
+  const Workflow::Order order = workflow.checked_order();
   // Stripe the workflow's true inputs (files no task produces) evenly
   // across the homes on their own counter: interleaving produced files
   // into the same stripe would bunch the staged inputs onto a subset of
@@ -143,20 +195,15 @@ std::vector<core::TaskId> submit_with_homes(
   // which skews any placement policy that chases input residency.
   // Produced files stripe on a second counter purely to spread staging
   // capacity — their values materialize wherever their producer runs.
-  std::vector<bool> produced(workflow.file_count(), false);
-  for (const WorkflowTask& task : workflow.tasks()) {
-    for (std::size_t out : task.outputs) {
-      produced[out] = true;
-    }
-  }
   std::vector<data::DataId> file_ids;
   file_ids.reserve(workflow.file_count());
   std::size_t next_input_home = 0;
   std::size_t next_output_home = 0;
   std::size_t file_index = 0;
   for (const WorkflowFile& file : workflow.files()) {
-    std::size_t& counter =
-        produced[file_index] ? next_output_home : next_input_home;
+    std::size_t& counter = order.producer[file_index] != Workflow::npos
+                               ? next_output_home
+                               : next_input_home;
     const hw::MemoryNodeId home = homes[counter % homes.size()];
     ++counter;
     ++file_index;
@@ -164,10 +211,8 @@ std::vector<core::TaskId> submit_with_homes(
   }
   // Submission must follow a topological order so dependency inference
   // (which is order-sensitive) sees producers before consumers.
-  const std::vector<std::size_t> order =
-      workflow.task_graph().topological_order();
   std::vector<core::TaskId> task_ids(workflow.task_count());
-  for (std::size_t index : order) {
+  for (std::size_t index : order.tasks) {
     const WorkflowTask& task = workflow.tasks()[index];
     std::vector<data::Access> accesses;
     accesses.reserve(task.inputs.size() + task.outputs.size());

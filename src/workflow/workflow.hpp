@@ -53,6 +53,18 @@ class Workflow {
   /// Task-level dependency graph (producer -> consumer).
   util::Digraph task_graph() const;
 
+  /// What submission needs, from one pass over the tasks.
+  struct Order {
+    /// Topological order of the task indices, smallest ready index first
+    /// (the order of task_graph().topological_order()).
+    std::vector<std::size_t> tasks;
+    /// Per file: index of the task writing it, or npos for an input.
+    std::vector<std::size_t> producer;
+  };
+  /// Checks the structural invariants as validate() does (same errors)
+  /// and returns the submission order, without building a Digraph.
+  Order checked_order() const;
+
   /// Checks structural invariants: file/task indices in range, at most
   /// one producer per file, acyclic task graph. Throws InvalidArgument.
   void validate() const;

@@ -19,6 +19,7 @@
 #include "obs/chrome_trace.hpp"
 #include "sched/registry.hpp"
 #include "trace/report.hpp"
+#include "util/strings.hpp"
 #include "workflow/generators.hpp"
 #include "workflow/workflow.hpp"
 
@@ -71,7 +72,7 @@ void submit_two_waves(core::Runtime& rt) {
 /// quarantine, probation and recovery.
 void submit_independent(core::Runtime& rt) {
   for (int i = 0; i < 40; ++i) {
-    rt.submit("t" + std::to_string(i), hetflow::testing::cpu_gpu_codelet(),
+    rt.submit(util::format("t%d", i), hetflow::testing::cpu_gpu_codelet(),
               4e9, {});
   }
 }

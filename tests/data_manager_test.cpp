@@ -23,9 +23,27 @@ TEST(DataManager, RegisterValidatesAgainstPlatform) {
   sim::EventQueue q;
   DataManager mgr(p, q);
   EXPECT_THROW(mgr.register_data("big", 100 * kMiB, 1),
-               util::InternalError);  // larger than vram
+               util::InvalidArgument);  // larger than vram
   EXPECT_THROW(mgr.register_data("x", 1, 9), util::InternalError);
   EXPECT_NO_THROW(mgr.register_data("ok", kMiB, 0));
+}
+
+TEST(DataManager, OversizedDatumErrorNamesDatumNodeAndCapacity) {
+  // A workflow size given on the command line reaches this check, so it
+  // is an argument error, not an internal one.
+  const hw::Platform p = small_vram_platform();
+  sim::EventQueue q;
+  DataManager mgr(p, q);
+  try {
+    mgr.register_data("tile_7.fits", 11 * kMiB, 1);
+    FAIL() << "a datum larger than its home registered";
+  } catch (const util::InvalidArgument& error) {
+    EXPECT_STREQ(error.what(),
+                 "datum 'tile_7.fits' (11534336 bytes) is larger than its "
+                 "home memory node 1 ('vram', capacity 10485760 bytes)");
+  }
+  EXPECT_EQ(mgr.registry().count(), 0u);
+  EXPECT_NO_THROW(mgr.register_data("fits", 10 * kMiB, 1));
 }
 
 TEST(DataManager, ReadAcquireFetchesReplica) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "workflow/codelets.hpp"
+#include "workflow/spec.hpp"
 
 namespace hetflow::workflow {
 namespace {
@@ -33,6 +34,65 @@ TEST(Workflow, RejectsBadFileIndices) {
   Workflow w("bad");
   w.add_task("a", "compute", 1.0, {7}, {});
   EXPECT_THROW(w.validate(), util::InvalidArgument);
+  Workflow writes("bad-write");
+  writes.add_task("a", "compute", 1.0, {}, {3});
+  EXPECT_THROW(writes.validate(), util::InvalidArgument);
+}
+
+TEST(Workflow, RejectsDependencyCycle) {
+  Workflow w("loop");
+  const auto f = w.add_file("f", 1);
+  const auto g = w.add_file("g", 1);
+  w.add_task("head", "compute", 1.0, {}, {});
+  w.add_task("a", "compute", 1.0, {g}, {f});
+  w.add_task("b", "compute", 1.0, {f}, {g});
+  try {
+    w.validate();
+    FAIL() << "a cyclic workflow validated";
+  } catch (const util::InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "workflow 'loop' has a dependency cycle");
+  }
+  EXPECT_THROW(w.checked_order(), util::InvalidArgument);
+}
+
+/// checked_order() against the Digraph it replaces on submission: the
+/// same order and the same producers.
+void expect_order_matches_task_graph(const Workflow& w) {
+  const Workflow::Order order = w.checked_order();
+  EXPECT_EQ(order.tasks, w.task_graph().topological_order()) << w.name();
+  ASSERT_EQ(order.producer.size(), w.file_count());
+  for (std::size_t f = 0; f < w.file_count(); ++f) {
+    EXPECT_EQ(order.producer[f], w.producer_of(f)) << w.name() << " file "
+                                                    << f;
+  }
+}
+
+TEST(Workflow, CheckedOrderMatchesTaskGraphForEverySpec) {
+  for (const char* spec :
+       {"montage:5", "epigenomics:2,3", "cybershake:2,3", "ligo:6,3",
+        "sipht:3,2", "cholesky:4,64", "lu:4,64", "layered:5,4,1,1",
+        "layered:6,5,2,9", "forkjoin:6,3,0.5,1", "forkjoin:4,2,0.9,5",
+        "wavefront:5", "chain:7", "bag:6"}) {
+    expect_order_matches_task_graph(make_workflow_from_spec(spec));
+  }
+}
+
+TEST(Workflow, CheckedOrderHandlesConsumerFirstListingAndDuplicateReads) {
+  // Tasks listed consumers first; "join" reads f twice (a duplicate edge
+  // from "make_f") and "tail" reads and rewrites its own scratch file.
+  Workflow w("consumer-first");
+  const auto f = w.add_file("f", 1);
+  const auto g = w.add_file("g", 1);
+  const auto h = w.add_file("h", 1);
+  const auto scratch = w.add_file("scratch", 1);
+  w.add_task("join", "compute", 1.0, {f, f, g}, {h});
+  w.add_task("make_f", "compute", 1.0, {}, {f});
+  w.add_task("make_g", "compute", 1.0, {}, {g});
+  w.add_task("tail", "compute", 1.0, {h, scratch}, {scratch});
+  EXPECT_EQ(w.task_graph().edge_count(), 4u);
+  EXPECT_EQ(w.checked_order().tasks,
+            (std::vector<std::size_t>{1, 2, 0, 3}));
+  expect_order_matches_task_graph(w);
 }
 
 TEST(Workflow, DepthAndWidth) {
@@ -69,7 +129,13 @@ TEST(Montage, ScaleMultipliesWork) {
 }
 
 TEST(Montage, RejectsTooFewTiles) {
-  EXPECT_THROW(make_montage(1), util::InternalError);
+  EXPECT_THROW(make_montage(1), util::InvalidArgument);
+  try {
+    make_workflow_from_spec("montage:1");
+    FAIL() << "montage:1 was accepted";
+  } catch (const util::InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "montage needs at least 2 tiles, got 1");
+  }
 }
 
 TEST(Epigenomics, ShapeAndKinds) {

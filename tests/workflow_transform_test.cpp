@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/presets.hpp"
+#include "util/strings.hpp"
 #include "workflow/generators.hpp"
 
 namespace hetflow::workflow {
@@ -84,13 +85,12 @@ TEST(Cluster, ReducesMakespanForTinyTaskChains) {
   // clustering shrinks the makespan.
   Workflow w("tiny-chains");
   for (int c = 0; c < 64; ++c) {
-    std::size_t carry =
-        w.add_file("in" + std::to_string(c), 1024);
+    std::size_t carry = w.add_file(util::format("in%d", c), 1024);
     for (int s = 0; s < 4; ++s) {
-      const std::size_t next = w.add_file(
-          "f" + std::to_string(c) + "_" + std::to_string(s), 1024);
-      w.add_task("t" + std::to_string(c) + "_" + std::to_string(s),
-                 "compute", 1e4, {carry}, {next});
+      const std::size_t next =
+          w.add_file(util::format("f%d_%d", c, s), 1024);
+      w.add_task(util::format("t%d_%d", c, s), "compute", 1e4, {carry},
+                 {next});
       carry = next;
     }
   }
