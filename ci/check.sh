@@ -29,7 +29,10 @@
 #      asserts it
 #   9. checkpoint/resume smoke: a campaign killed after two rounds and
 #      resumed from its checkpoint must report the same result as the
-#      uninterrupted run (docs/fault_tolerance.md)
+#      uninterrupted run (docs/fault_tolerance.md), and a hetflow_serve
+#      run killed after one batch and resumed must write a latency CSV
+#      and metrics JSON byte-identical to the uninterrupted run's
+#      (docs/serving.md)
 #  10. coverage floors: rebuild with HETFLOW_COVERAGE=ON and require
 #      >= 90% line coverage on src/obs/ under the obs suites (the
 #      exporters' at-scale parse/dump fixed-point test included) and
@@ -174,6 +177,30 @@ campaign_args=(--campaign surrogate --surface branin --evals 24 --batch 6)
 # uninterrupted one (byte-identical "best ..." report line).
 cmp <(grep best build-ci/campaign_straight.txt) \
     <(grep best build-ci/campaign_resumed.txt)
+# The serve front end, killed after its first batch and resumed, must
+# write the same latency table and metrics snapshot as a run that was
+# never interrupted (both are built from the checkpointed ledgers).
+serve="build-ci/tools/hetflow_serve"
+cat > build-ci/serve_ops.jsonl <<'OPS'
+{"op":"tenant","name":"a","weight":2}
+{"op":"tenant","name":"b"}
+{"op":"submit","tenant":0,"tasks":4,"count":6}
+{"op":"submit","tenant":1,"shape":"diamond","tasks":5,"count":6}
+{"op":"batch"}
+{"op":"submit","tenant":0,"shape":"fanout","tasks":3,"count":3}
+{"op":"drain"}
+OPS
+serve_args=(--script build-ci/serve_ops.jsonl --max-in-flight 2 --max-pending 8 --defer)
+"$serve" "${serve_args[@]}" --latency-csv build-ci/serve_straight.csv \
+    --metrics-out build-ci/serve_straight.json > /dev/null
+rm -f build-ci/serve_ckpt.json
+"$serve" "${serve_args[@]}" --max-batches 1 \
+    --checkpoint build-ci/serve_ckpt.json > /dev/null
+"$serve" "${serve_args[@]}" --resume build-ci/serve_ckpt.json \
+    --latency-csv build-ci/serve_resumed.csv \
+    --metrics-out build-ci/serve_resumed.json > /dev/null
+cmp build-ci/serve_straight.csv build-ci/serve_resumed.csv
+cmp build-ci/serve_straight.json build-ci/serve_resumed.json
 
 echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json, core/runtime, workflow/workflow) ==="
 # The obs, sched and data layers are what the golden and differential

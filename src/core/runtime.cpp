@@ -167,8 +167,6 @@ Runtime::Runtime(const hw::Platform& platform,
   if (options_.metrics) {
     recorder_ = std::make_unique<obs::Recorder>();
     data_.set_recorder(recorder_.get());
-    recorder_->devices() = obs::DeviceSeries(recorder_->metrics(), platform,
-                                             scheduler_->name());
   }
   dead_memory_.assign(platform.memory_node_count(), false);
   cost_cache_.attach(platform);
@@ -562,9 +560,9 @@ void Runtime::internal_assign(Task& task, const hw::Device& device,
   state.queue.push_back(&task);
   task.queued_est_s = exec_estimate(task, device, dvfs);
   state.queued_est_seconds += task.queued_est_s;
+  ++stats_.devices[device.id()].tasks_assigned;
   if (recorder_ != nullptr) {
-    recorder_->devices().task_queued(device.id(), queue_.now(),
-                                     state.queue.size());
+    recorder_->queue_depth(device, queue_.now(), state.queue.size());
   }
   if (options_.enable_prefetch) {
     // The task is Ready, so its inputs are final: start moving them now,
@@ -617,7 +615,8 @@ void Runtime::start_next(hw::DeviceId id) {
   Task& task = *state.queue.front();
   state.queue.pop_front();
   if (recorder_ != nullptr) {
-    recorder_->devices().queue_changed(id, queue_.now(), state.queue.size());
+    recorder_->queue_depth(platform_->device(id), queue_.now(),
+                           state.queue.size());
   }
   state.queued_est_seconds =
       std::max(0.0, state.queued_est_seconds - task.queued_est_s);
@@ -903,9 +902,7 @@ void Runtime::recover_attempt(Task& task, hw::DeviceId id) {
 }
 
 void Runtime::requeue_attempt(Task& task, hw::DeviceId device_id) {
-  if (recorder_ != nullptr) {
-    recorder_->devices().retry(device_id);
-  }
+  ++stats_.devices[device_id].retries;
   record_event(obs::EventKind::Retry, device_id, &task);
   FailurePolicy policy = options_.failure_policy;
   // A quarantined device cannot take its own retry: divert to the
@@ -924,8 +921,7 @@ void Runtime::requeue_attempt(Task& task, hw::DeviceId device_id) {
       task.queued_est_s = exec_estimate(task, device, task.dvfs_state());
       state.queued_est_seconds += task.queued_est_s;
       if (recorder_ != nullptr) {
-        recorder_->devices().queue_changed(device_id, queue_.now(),
-                                           state.queue.size());
+        recorder_->queue_depth(device, queue_.now(), state.queue.size());
       }
       break;
     }
@@ -1376,10 +1372,13 @@ void Runtime::finalize_stats() {
       .set(static_cast<double>(queue_.peak_pending()));
   for (const DeviceRunStats& device : stats_.devices) {
     const obs::Labels labels = device_labels(platform_->device(device.device));
+    publish("tasks_scheduled", device.tasks_assigned,
+            {labels[0], {"scheduler", scheduler_->name()}});
     publish("tasks_completed", device.tasks_completed, labels);
     publish("failed_attempts", device.failed_attempts, labels);
     publish("timeouts", device.timeouts, labels);
     publish("blacklist_events", device.blacklist_events, labels);
+    publish("retry_attempts", device.retries, labels);
     if (device.tasks_completed + device.failed_attempts > 0) {
       metrics.counter("busy_seconds", labels).set(device.busy_seconds);
       metrics.counter("busy_energy_j", labels).set(device.busy_energy_j);

@@ -16,10 +16,12 @@ namespace hetflow::core {
 // guaranteed 16 bits. uint64_t makes the width explicit on every platform.
 struct DeviceRunStats {
   hw::DeviceId device = 0;
+  std::uint64_t tasks_assigned = 0;    ///< tasks queued on this device
   std::uint64_t tasks_completed = 0;
   std::uint64_t failed_attempts = 0;
   std::uint64_t timeouts = 0;          ///< attempts cancelled by the watchdog
   std::uint64_t blacklist_events = 0;  ///< times this device was quarantined
+  std::uint64_t retries = 0;           ///< failed attempts re-queued
   double busy_seconds = 0.0;     ///< compute time (successful + failed)
   double busy_energy_j = 0.0;    ///< energy while computing
   double idle_energy_j = 0.0;    ///< energy while idle over the makespan

@@ -109,6 +109,13 @@ void Platform::compute_routes() {
   const std::size_t n = nodes_.size();
   routes_.assign(n * n, {});
   fully_connected_ = true;
+  // Outgoing links per node, so each pop visits its own links instead of
+  // scanning all of them (O(N^4) on a full mesh). They stay in link-id
+  // order, the order the scan relaxed them in.
+  std::vector<std::vector<LinkId>> outgoing(n);
+  for (const Link& link : links_) {
+    outgoing[link.src()].push_back(link.id());
+  }
   // Dijkstra from each source over link latency (+ tiny per-hop epsilon so
   // fewer hops win at equal latency).
   for (MemoryNodeId src = 0; src < n; ++src) {
@@ -127,10 +134,8 @@ void Platform::compute_routes() {
         continue;
       }
       done[node] = true;
-      for (const Link& link : links_) {
-        if (link.src() != node) {
-          continue;
-        }
+      for (const LinkId id : outgoing[node]) {
+        const Link& link = links_[id];
         const double cand = d + link.latency_s() + 1e-12;
         if (cand < dist[link.dst()]) {
           dist[link.dst()] = cand;

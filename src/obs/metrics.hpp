@@ -3,10 +3,12 @@
 // Three metric kinds cover everything the runtime emits:
 //
 //   * Counter       — monotonically increasing sum (tasks_scheduled,
-//                     bytes_transferred, retry_attempts, ...). Those a
-//                     stats struct holds are set() from it at the end of
-//                     Runtime::wait_all(): bitwise equal by construction,
-//                     but not valid mid-run nor after wait_all() throws.
+//                     bytes_transferred, retry_attempts, ...). The
+//                     runtime counts nothing here: every counter is
+//                     set() from the stats ledger that owns the fact, at
+//                     the end of Runtime::wait_all() — bitwise equal by
+//                     construction, but not valid mid-run nor after
+//                     wait_all() throws.
 //   * Gauge         — last-written value (makespan_s, events_executed).
 //   * TimeWeighted  — a piecewise-constant signal sampled at update()
 //                     instants (queue_depth, event_queue_depth); the
@@ -89,7 +91,7 @@ class MetricsRegistry {
   /// Lookup-or-create. The returned reference stays valid for the
   /// registry's lifetime, however many entries are added later (entries
   /// live in std::map nodes, which never move), so a caller may keep it
-  /// as a handle instead of repeating the lookup (obs::DeviceSeries
+  /// as a handle instead of repeating the lookup (Recorder::queue_depth
   /// does). Re-registering a name with a different kind throws
   /// InvalidArgument.
   Counter& counter(const std::string& name, const Labels& labels = {});

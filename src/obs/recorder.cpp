@@ -24,6 +24,19 @@ const char* to_string(EventKind kind) noexcept {
   return "?";
 }
 
+void Recorder::queue_depth(const hw::Device& device, sim::SimTime now,
+                           std::size_t depth) {
+  if (device.id() >= queue_depth_.size()) {
+    queue_depth_.resize(device.id() + 1, nullptr);
+  }
+  TimeWeighted*& series = queue_depth_[device.id()];
+  if (series == nullptr) {
+    series = &metrics_.time_weighted("queue_depth",
+                                     {{"device", device.name()}});
+  }
+  series->update(now, static_cast<double>(depth));
+}
+
 void Recorder::record(Event event) {
   events_.push_back(std::move(event));
 }

@@ -13,6 +13,7 @@
 // event order, so logs and snapshots are deterministic for a given seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "obs/decision_log.hpp"
-#include "obs/device_series.hpp"
 #include "obs/metrics.hpp"
 
 namespace hetflow::obs {
@@ -58,16 +58,21 @@ struct Event {
 class Recorder {
  public:
   Recorder() = default;
-  // Not copyable or movable: devices() holds pointers into metrics().
+  // Not copyable or movable: queue_depth_ holds pointers into metrics_.
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// Handles for the per-device series the runtime updates on every
-  /// task. Inert until the runtime assigns one built over metrics().
-  DeviceSeries& devices() noexcept { return devices_; }
+  /// Samples queue_depth{device}: `device`'s queue holds `depth` from
+  /// `now` on. The one per-device series kept inline, because it is a
+  /// signal over time; every counter is published from RunStats. Each
+  /// device's entry is resolved on its first update and its address
+  /// kept (registry entries never move), so a device that never queues
+  /// a task registers no series.
+  void queue_depth(const hw::Device& device, sim::SimTime now,
+                   std::size_t depth);
 
   void record(Event event);
   const std::vector<Event>& events() const noexcept { return events_; }
@@ -84,7 +89,7 @@ class Recorder {
 
  private:
   MetricsRegistry metrics_;
-  DeviceSeries devices_;
+  std::vector<TimeWeighted*> queue_depth_;  // by DeviceId; null = unresolved
   std::vector<Event> events_;
   std::vector<SchedDecision> decisions_;
 };

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/runtime.hpp"
+#include "obs/metrics.hpp"
 #include "sched/registry.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -62,10 +63,6 @@ TenantId ServeEngine::add_tenant(TenantSpec spec) {
   return id;
 }
 
-obs::Labels ServeEngine::tenant_labels(TenantId t) const {
-  return {{"tenant", queue_.spec(t).name}};
-}
-
 Ticket ServeEngine::enqueue(TenantId t, const JobSpec& job,
                             AdmissionDecision decision) {
   Job record;
@@ -94,11 +91,6 @@ Ticket ServeEngine::submit(TenantId t, const JobSpec& job) {
   const AdmissionDecision decision =
       admission_.decide(queue_.backlog_size(t), queue_.spec(t).backlog_cap,
                         total_pending(), overflow_.size());
-  if (config_.metrics) {
-    metrics_.counter(std::string("serve_") + to_string(decision),
-                     tenant_labels(t))
-        .inc();
-  }
   if (decision == AdmissionDecision::Rejected) {
     ++stats_[t].rejected;
     return Ticket{decision, 0};
@@ -264,11 +256,6 @@ BatchResult ServeEngine::run_batch() {
     if (config_.audit) {
       monitor_.on_consume(job.tenant, job_seconds);
     }
-    if (config_.metrics) {
-      metrics_.counter("serve_completed", tenant_labels(job.tenant)).inc();
-      metrics_.counter("serve_device_seconds", tenant_labels(job.tenant))
-          .inc(job_seconds);
-    }
   }
 
   result.tasks = batch_tasks;
@@ -328,6 +315,35 @@ std::string ServeEngine::latency_csv() const {
              util::format("%.6g", has ? stats.latency.quantile(0.99) : 0.0)});
   }
   return out.str();
+}
+
+std::string ServeEngine::metrics_json() const {
+  // The ledgers are the only accumulator, so a resumed engine reports
+  // the same totals as one that never stopped. Tenants sharing a name
+  // share a series: their counts add up, in tenant-id order.
+  obs::MetricsRegistry metrics;
+  for (TenantId t = 0; t < queue_.tenant_count(); ++t) {
+    const TenantStats& stats = stats_[t];
+    const obs::Labels labels = {{"tenant", queue_.spec(t).name}};
+    const auto publish = [&](const char* name, double value) {
+      if (value > 0.0) {
+        metrics.counter(name, labels).inc(value);
+      }
+    };
+    // Submit-time admissions; a deferred job's later entry into its
+    // backlog is counted by serve_deferred, not here.
+    publish("serve_admitted", static_cast<double>(stats.submitted -
+                                                  stats.deferred -
+                                                  stats.rejected));
+    publish("serve_deferred", static_cast<double>(stats.deferred));
+    publish("serve_rejected", static_cast<double>(stats.rejected));
+    publish("serve_completed", static_cast<double>(stats.completed));
+    if (stats.completed > 0) {
+      metrics.counter("serve_device_seconds", labels)
+          .inc(stats.device_seconds);
+    }
+  }
+  return metrics.to_json_string();
 }
 
 // --- checkpoint / resume ----------------------------------------------------

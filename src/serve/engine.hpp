@@ -37,7 +37,6 @@
 
 #include "core/task.hpp"
 #include "hw/platform.hpp"
-#include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/audit.hpp"
 #include "serve/fair_share.hpp"
@@ -62,8 +61,6 @@ struct ServeConfig {
   AdmissionController::Limits admission;
   /// Runs the FairnessMonitor mirror alongside every operation.
   bool audit = false;
-  /// Per-tenant counters in an obs::MetricsRegistry snapshot.
-  bool metrics = false;
   /// End-of-batch runtime validation (check::audit_run) — slow; tests.
   bool validate = false;
 };
@@ -125,8 +122,9 @@ class ServeEngine {
   /// Per-tenant latency/accounting table, sorted by tenant id — the
   /// byte-compared artifact of the determinism property tests.
   std::string latency_csv() const;
-  /// Metrics snapshot (empty object when config.metrics is off).
-  std::string metrics_json() const { return metrics_.to_json_string(); }
+  /// Per-tenant serve_* counters as an obs::MetricsRegistry JSON
+  /// snapshot, built from the tenant ledgers on each call.
+  std::string metrics_json() const;
 
   /// Fairness audit report (empty/passing when config.audit is off).
   /// Finalizes coverage notes; call once at end of service.
@@ -156,7 +154,6 @@ class ServeEngine {
   /// Materializes `job` on `rt`, returns the submitted TaskIds.
   std::vector<core::TaskId> materialize(core::Runtime& rt,
                                         const Job& job) const;
-  obs::Labels tenant_labels(TenantId t) const;
 
   const hw::Platform* platform_;
   ServeConfig config_;
@@ -168,7 +165,6 @@ class ServeEngine {
   std::vector<Job> jobs_;
   std::deque<JobRef> overflow_;
   FairnessMonitor monitor_;
-  mutable obs::MetricsRegistry metrics_;
   double clock_ = 0.0;
   std::size_t batches_ = 0;
   std::uint64_t next_ticket_ = 0;

@@ -95,8 +95,9 @@ Workflow make_montage(std::size_t tiles, double scale) {
 
 Workflow make_epigenomics(std::size_t lanes, std::size_t splits,
                           double scale) {
-  HETFLOW_REQUIRE_MSG(lanes >= 1 && splits >= 1,
-                      "epigenomics needs lanes >= 1 and splits >= 1");
+  if (lanes == 0 || splits == 0) {
+    throw InvalidArgument("epigenomics needs lanes >= 1 and splits >= 1");
+  }
   Workflow w(util::format("epigenomics-%zux%zu", lanes, splits));
   std::vector<std::size_t> lane_merges;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -147,8 +148,9 @@ Workflow make_epigenomics(std::size_t lanes, std::size_t splits,
 
 Workflow make_cybershake(std::size_t sites, std::size_t variations,
                          double scale) {
-  HETFLOW_REQUIRE_MSG(sites >= 1 && variations >= 1,
-                      "cybershake needs sites >= 1 and variations >= 1");
+  if (sites == 0 || variations == 0) {
+    throw InvalidArgument("cybershake needs sites >= 1 and variations >= 1");
+  }
   Workflow w(util::format("cybershake-%zux%zu", sites, variations));
   for (std::size_t s = 0; s < sites; ++s) {
     const std::size_t sgt_x = w.add_file(util::format("sgt%zu_x", s),
@@ -190,8 +192,9 @@ Workflow make_cybershake(std::size_t sites, std::size_t variations,
 }
 
 Workflow make_ligo(std::size_t templates, std::size_t group, double scale) {
-  HETFLOW_REQUIRE_MSG(templates >= 1 && group >= 1,
-                      "ligo needs templates >= 1 and group >= 1");
+  if (templates == 0 || group == 0) {
+    throw InvalidArgument("ligo needs templates >= 1 and group >= 1");
+  }
   Workflow w(util::format("ligo-%zu", templates));
   std::vector<std::size_t> inspiral_out(templates);
   for (std::size_t t = 0; t < templates; ++t) {
@@ -235,8 +238,9 @@ Workflow make_ligo(std::size_t templates, std::size_t group, double scale) {
 }
 
 Workflow make_sipht(std::size_t regions, std::size_t patsers, double scale) {
-  HETFLOW_REQUIRE_MSG(regions >= 1 && patsers >= 1,
-                      "sipht needs regions >= 1 and patsers >= 1");
+  if (regions == 0 || patsers == 0) {
+    throw InvalidArgument("sipht needs regions >= 1 and patsers >= 1");
+  }
   Workflow w(util::format("sipht-%zu", regions));
   std::vector<std::size_t> region_outputs;
   for (std::size_t r = 0; r < regions; ++r) {
@@ -288,9 +292,12 @@ Workflow make_sipht(std::size_t regions, std::size_t patsers, double scale) {
 Workflow make_random_layered(std::size_t layers, std::size_t width,
                              double ccr, std::uint64_t seed,
                              double mean_flops) {
-  HETFLOW_REQUIRE_MSG(layers >= 1 && width >= 1,
-                      "layered DAG needs layers >= 1 and width >= 1");
-  HETFLOW_REQUIRE_MSG(ccr >= 0.0, "ccr cannot be negative");
+  if (layers == 0 || width == 0) {
+    throw InvalidArgument("layered DAG needs layers >= 1 and width >= 1");
+  }
+  if (!(ccr >= 0.0)) {
+    throw InvalidArgument("ccr cannot be negative");
+  }
   util::Rng rng(seed);
   Workflow w(util::format("layered-%zux%zu-ccr%.2g", layers, width, ccr));
   // Reference machine for the CCR calibration: 50 GFLOP/s compute,
@@ -330,8 +337,9 @@ Workflow make_random_layered(std::size_t layers, std::size_t width,
 Workflow make_fork_join(std::size_t width, std::size_t stages,
                         double cost_sigma, std::uint64_t seed,
                         double mean_flops) {
-  HETFLOW_REQUIRE_MSG(width >= 1 && stages >= 1,
-                      "fork-join needs width >= 1 and stages >= 1");
+  if (width == 0 || stages == 0) {
+    throw InvalidArgument("fork-join needs width >= 1 and stages >= 1");
+  }
   util::Rng rng(seed);
   Workflow w(util::format("forkjoin-%zux%zu", width, stages));
   std::size_t carry = w.add_file("input", 2 * kMB);
@@ -359,7 +367,9 @@ Workflow make_fork_join(std::size_t width, std::size_t stages,
 
 Workflow make_wavefront(std::size_t n, double flops_per_task,
                         std::uint64_t bytes) {
-  HETFLOW_REQUIRE_MSG(n >= 1, "wavefront needs n >= 1");
+  if (n == 0) {
+    throw InvalidArgument("wavefront needs n >= 1");
+  }
   Workflow w(util::format("wavefront-%zu", n));
   std::vector<std::vector<std::size_t>> cell(n, std::vector<std::size_t>(n));
   for (std::size_t i = 0; i < n; ++i) {
@@ -380,7 +390,9 @@ Workflow make_wavefront(std::size_t n, double flops_per_task,
 }
 
 Workflow make_chain(std::size_t n, double flops, std::uint64_t bytes) {
-  HETFLOW_REQUIRE_MSG(n >= 1, "chain needs n >= 1");
+  if (n == 0) {
+    throw InvalidArgument("chain needs n >= 1");
+  }
   Workflow w(util::format("chain-%zu", n));
   std::size_t prev = w.add_file("input", bytes);
   for (std::size_t i = 0; i < n; ++i) {
@@ -392,7 +404,9 @@ Workflow make_chain(std::size_t n, double flops, std::uint64_t bytes) {
 }
 
 Workflow make_bag(std::size_t n, double flops, std::uint64_t bytes) {
-  HETFLOW_REQUIRE_MSG(n >= 1, "bag needs n >= 1");
+  if (n == 0) {
+    throw InvalidArgument("bag needs n >= 1");
+  }
   Workflow w(util::format("bag-%zu", n));
   const std::size_t input = w.add_file("input", bytes);
   for (std::size_t i = 0; i < n; ++i) {

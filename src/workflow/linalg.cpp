@@ -79,7 +79,9 @@ std::size_t cholesky_task_count(std::size_t nt) noexcept {
 }
 
 Workflow make_cholesky(std::size_t nt, std::size_t tile_n) {
-  HETFLOW_REQUIRE_MSG(nt >= 1, "cholesky needs nt >= 1");
+  if (nt == 0) {
+    throw InvalidArgument("cholesky needs nt >= 1");
+  }
   Workflow w(util::format("cholesky-%zux%zu", nt, nt));
   TileSsa tiles(w, nt, tile_n);
   for (std::size_t k = 0; k < nt; ++k) {
@@ -118,7 +120,9 @@ Workflow make_cholesky(std::size_t nt, std::size_t tile_n) {
 }
 
 Workflow make_lu(std::size_t nt, std::size_t tile_n) {
-  HETFLOW_REQUIRE_MSG(nt >= 1, "lu needs nt >= 1");
+  if (nt == 0) {
+    throw InvalidArgument("lu needs nt >= 1");
+  }
   Workflow w(util::format("lu-%zux%zu", nt, nt));
   TileSsa tiles(w, nt, tile_n);
   for (std::size_t k = 0; k < nt; ++k) {
@@ -159,7 +163,9 @@ Workflow make_lu(std::size_t nt, std::size_t tile_n) {
 std::size_t submit_cholesky_inplace(core::Runtime& runtime, std::size_t nt,
                                     std::size_t tile_n,
                                     const CodeletLibrary& library) {
-  HETFLOW_REQUIRE_MSG(nt >= 1, "cholesky needs nt >= 1");
+  if (nt == 0) {
+    throw InvalidArgument("cholesky needs nt >= 1");
+  }
   using data::AccessMode;
   const std::uint64_t bytes = tile_bytes(tile_n);
   std::vector<std::vector<data::DataId>> tile(nt,

@@ -1,5 +1,8 @@
 #include "workflow/spec.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "hw/presets.hpp"
 #include "hw/serialize.hpp"
 #include "util/strings.hpp"
@@ -12,20 +15,34 @@ namespace hetflow::workflow {
 namespace {
 
 struct Spec {
+  std::string text;
   std::string kind;
   std::vector<double> args;
 
   double arg(std::size_t index, double fallback) const {
     return index < args.size() ? args[index] : fallback;
   }
+  /// A count, seed or byte size: a non-negative integer that fits.
   std::size_t arg_n(std::size_t index, std::size_t fallback) const {
-    return index < args.size() ? static_cast<std::size_t>(args[index])
-                               : fallback;
+    if (index >= args.size()) {
+      return fallback;
+    }
+    const double value = args[index];
+    // Negated so that NaN fails too.
+    if (!(value >= 0.0 && value == std::floor(value) &&
+          value < static_cast<double>(
+                      std::numeric_limits<std::size_t>::max()))) {
+      throw ParseError(util::format(
+          "argument %zu of spec '%s' must be a non-negative integer, got %g",
+          index + 1, text.c_str(), value));
+    }
+    return static_cast<std::size_t>(value);
   }
 };
 
 Spec parse_spec(const std::string& text) {
   Spec spec;
+  spec.text = text;
   const std::size_t colon = text.find(':');
   spec.kind = text.substr(0, colon);
   if (colon != std::string::npos) {
@@ -70,23 +87,23 @@ Workflow make_workflow_from_spec(const std::string& text, double scale) {
   if (spec.kind == "layered") {
     return make_random_layered(spec.arg_n(0, 8), spec.arg_n(1, 6),
                                spec.arg(2, 1.0),
-                               static_cast<std::uint64_t>(spec.arg(3, 1)));
+                               spec.arg_n(3, 1));
   }
   if (spec.kind == "forkjoin") {
     return make_fork_join(spec.arg_n(0, 16), spec.arg_n(1, 4),
                           spec.arg(2, 0.5),
-                          static_cast<std::uint64_t>(spec.arg(3, 1)));
+                          spec.arg_n(3, 1));
   }
   if (spec.kind == "wavefront") {
     return make_wavefront(spec.arg_n(0, 8));
   }
   if (spec.kind == "chain") {
     return make_chain(spec.arg_n(0, 100), spec.arg(1, 1e8),
-                      static_cast<std::uint64_t>(spec.arg(2, 1 << 20)));
+                      spec.arg_n(2, 1 << 20));
   }
   if (spec.kind == "bag") {
     return make_bag(spec.arg_n(0, 100), spec.arg(1, 1e8),
-                    static_cast<std::uint64_t>(spec.arg(2, 1 << 20)));
+                    spec.arg_n(2, 1 << 20));
   }
   throw ParseError("unknown workflow spec '" + text + "'");
 }

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <queue>
+#include <utility>
+#include <vector>
+
 #include "hw/cluster.hpp"
 #include "hw/presets.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace hetflow::hw {
 namespace {
@@ -245,6 +253,107 @@ TEST(MemoryNode, Validation) {
   const MemoryNode m(1, "ok", 42);
   EXPECT_EQ(m.capacity_bytes(), 42u);
   EXPECT_EQ(m.name(), "ok");
+}
+
+/// The route search as first written: Dijkstra from every node, scanning
+/// every link for each node popped (O(N^4) on a full mesh). Empty for
+/// src == dst and for unreachable pairs.
+std::vector<std::vector<LinkId>> reference_routes(const Platform& p) {
+  const std::size_t n = p.memory_node_count();
+  std::vector<std::vector<LinkId>> routes(n * n);
+  for (MemoryNodeId src = 0; src < n; ++src) {
+    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+    std::vector<LinkId> via_link(n, 0);
+    std::vector<MemoryNodeId> via_node(n, src);
+    std::vector<bool> done(n, false);
+    dist[src] = 0.0;
+    using Entry = std::pair<double, MemoryNodeId>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    heap.push({0.0, src});
+    while (!heap.empty()) {
+      const auto [d, node] = heap.top();
+      heap.pop();
+      if (done[node]) {
+        continue;
+      }
+      done[node] = true;
+      for (const Link& link : p.links()) {
+        if (link.src() != node) {
+          continue;
+        }
+        const double cand = d + link.latency_s() + 1e-12;
+        if (cand < dist[link.dst()]) {
+          dist[link.dst()] = cand;
+          via_link[link.dst()] = link.id();
+          via_node[link.dst()] = node;
+          heap.push({cand, link.dst()});
+        }
+      }
+    }
+    for (MemoryNodeId dst = 0; dst < n; ++dst) {
+      if (dst == src || !done[dst]) {
+        continue;
+      }
+      std::vector<LinkId>& route = routes[src * n + dst];
+      for (MemoryNodeId cur = dst; cur != src; cur = via_node[cur]) {
+        route.push_back(via_link[cur]);
+      }
+      std::reverse(route.begin(), route.end());
+    }
+  }
+  return routes;
+}
+
+void expect_reference_routes(const Platform& p) {
+  const std::size_t n = p.memory_node_count();
+  const std::vector<std::vector<LinkId>> expected = reference_routes(p);
+  for (MemoryNodeId src = 0; src < n; ++src) {
+    for (MemoryNodeId dst = 0; dst < n; ++dst) {
+      const std::vector<LinkId>& want = expected[src * n + dst];
+      if (src != dst && want.empty()) {
+        EXPECT_THROW(p.route(src, dst), InvalidArgument) << src << "->" << dst;
+      } else {
+        EXPECT_EQ(p.route(src, dst), want) << src << "->" << dst;
+      }
+    }
+  }
+}
+
+TEST(Platform, ClusterRoutesMatchTheLinkScan) {
+  const Cluster cluster = make_hpc_cluster(16, 4, 2);
+  ASSERT_GE(cluster.platform().memory_node_count(), 48u);
+  expect_reference_routes(cluster.platform());
+  expect_reference_routes(make_cluster(16, 4, 1));
+}
+
+TEST(Platform, TiedRoutesOverShuffledLinksMatchTheLinkScan) {
+  // Two latencies only, so many routes tie; links are added in random
+  // order, some one-way, so link ids are not grouped by source and some
+  // pairs are unreachable.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    PlatformBuilder b("tied");
+    constexpr MemoryNodeId kNodes = 12;
+    for (MemoryNodeId m = 0; m < kNodes; ++m) {
+      b.add_memory_node(util::format("m%u", m), kGiB);
+    }
+    b.add_device("cpu0", DeviceType::Cpu, 10.0, 0);
+    std::vector<std::pair<MemoryNodeId, MemoryNodeId>> pairs;
+    for (MemoryNodeId a = 0; a < kNodes; ++a) {
+      for (MemoryNodeId c = a + 1; c < kNodes; ++c) {
+        if (rng.uniform() < 0.3) {
+          pairs.emplace_back(rng.uniform() < 0.5 ? std::pair{a, c}
+                                                 : std::pair{c, a});
+        }
+      }
+    }
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    for (const auto& [a, c] : pairs) {
+      b.add_link(a, c, 10.0, rng.uniform() < 0.5 ? 1e-6 : 2e-6,
+                 rng.uniform() < 0.7);
+    }
+    expect_reference_routes(b.build());
+  }
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "core/runtime.hpp"
 #include "helpers.hpp"
 #include "hw/presets.hpp"
-#include "obs/device_series.hpp"
 #include "obs/recorder.hpp"
 #include "sched/registry.hpp"
 #include "util/strings.hpp"
@@ -172,34 +171,9 @@ TEST(Metrics, ReferencesStayValidAsTheRegistryGrows) {
   EXPECT_NE(csv.find("\ndepth,,time_weighted,4,4,4,4,1"), std::string::npos);
 }
 
-TEST(DeviceSeries, MatchesLookupsByName) {
-  // The handles update the same entries the (name, labels) lookups
-  // address, so the snapshots are byte-identical.
-  const hw::Platform p = hw::make_workstation();
-  MetricsRegistry by_handle;
-  DeviceSeries series(by_handle, p, "dmda");
-  series.task_queued(1, 0.0, 1);
-  series.task_queued(1, 0.5, 2);
-  series.queue_changed(1, 1.0, 1);
-  series.retry(1);
-  series.retry(1);
-  MetricsRegistry by_name;
-  const Labels device = {{"device", p.device(1).name()}};
-  const Labels scheduled = {{"device", p.device(1).name()},
-                            {"scheduler", "dmda"}};
-  by_name.counter("tasks_scheduled", scheduled).inc();
-  by_name.time_weighted("queue_depth", device).update(0.0, 1.0);
-  by_name.counter("tasks_scheduled", scheduled).inc();
-  by_name.time_weighted("queue_depth", device).update(0.5, 2.0);
-  by_name.time_weighted("queue_depth", device).update(1.0, 1.0);
-  by_name.counter("retry_attempts", device).inc();
-  by_name.counter("retry_attempts", device).inc();
-  EXPECT_EQ(by_handle.to_csv(), by_name.to_csv());
-  EXPECT_EQ(by_handle.to_json_string(), by_name.to_json_string());
-}
-
-TEST(DeviceSeries, DeviceWithoutTasksRegistersNoSeries) {
-  // CPU-only tasks on the workstation: the GPU never receives one.
+TEST(RuntimeMetrics, DeviceWithoutTasksRegistersNoSeries) {
+  // CPU-only tasks on the workstation: the GPU never receives one, so
+  // neither its published counter nor its inline queue_depth exists.
   const hw::Platform p = hw::make_workstation();
   core::RuntimeOptions options;
   options.metrics = true;

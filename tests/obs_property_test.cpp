@@ -108,9 +108,24 @@ void expect_counters_match_stats(const core::Runtime& rt,
   const core::RunStats& stats = rt.stats();
   const auto count = [](std::uint64_t n) { return static_cast<double>(n); };
 
+  std::uint64_t assigned = 0;
+  std::uint64_t retries = 0;
   for (const core::DeviceRunStats& device : stats.devices) {
     const std::string& name = p.device(device.device).name();
     const obs::Labels labels = {{"device", name}};
+    EXPECT_EQ(m.counter_value("tasks_scheduled",
+                              {{"device", name},
+                               {"scheduler", rt.scheduler().name()}}),
+              count(device.tasks_assigned))
+        << what << " device " << name;
+    EXPECT_EQ(m.counter_value("retry_attempts", labels),
+              count(device.retries))
+        << what << " device " << name;
+    // A retry follows a failed attempt on the same device.
+    EXPECT_LE(device.retries, device.failed_attempts)
+        << what << " device " << name;
+    assigned += device.tasks_assigned;
+    retries += device.retries;
     EXPECT_EQ(m.counter_value("tasks_completed", labels),
               count(device.tasks_completed))
         << what << " device " << name;
@@ -127,6 +142,8 @@ void expect_counters_match_stats(const core::Runtime& rt,
     EXPECT_EQ(m.counter_value("busy_energy_j", labels), device.busy_energy_j)
         << what << " device " << name;
   }
+  EXPECT_EQ(m.counter_sum("tasks_scheduled"), count(assigned)) << what;
+  EXPECT_EQ(m.counter_sum("retry_attempts"), count(retries)) << what;
   EXPECT_EQ(m.counter_sum("failed_attempts"), count(stats.failed_attempts))
       << what;
   EXPECT_EQ(m.counter_sum("timeouts"), count(stats.timeouts)) << what;
@@ -227,6 +244,7 @@ TEST(ObsProperty, MetricsSnapshotReconcilesWithRunStats) {
   rt.wait_all();
   ASSERT_GT(rt.stats().node_failures, 0u);
   ASSERT_GT(rt.stats().tasks_lost, 0u);
+  ASSERT_GT(rt.recorder()->metrics().counter_sum("retry_attempts"), 0.0);
   expect_counters_match_stats(rt, "accounting wave 1");
   const core::CodeletPtr codelet = hetflow::testing::cpu_gpu_codelet();
   for (int i = 0; i < 6; ++i) {

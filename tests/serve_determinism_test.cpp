@@ -117,6 +117,32 @@ TEST(ServeDeterminism, KillAndResumeReproducesTheUninterruptedBytes) {
   std::remove(path.c_str());
 }
 
+TEST(ServeDeterminism, KillAndResumeReproducesTheUninterruptedMetrics) {
+  // The snapshot is built from the checkpointed ledgers, so it covers the
+  // batches run before the kill as well as those after the resume. Kill
+  // points: after the first batch op, and inside the drain.
+  const ServeScript script = mixed_script();
+  const hw::Platform platform = hw::make_workstation();
+  ServeEngine straight(platform, test_config());
+  run_script(straight, script);
+  const std::string uninterrupted = straight.metrics_json();
+  ASSERT_NE(uninterrupted.find("serve_deferred"), std::string::npos)
+      << uninterrupted;
+  ASSERT_NE(uninterrupted.find("serve_device_seconds"), std::string::npos)
+      << uninterrupted;
+
+  for (const std::size_t kill_after : {1u, 3u}) {
+    const std::string path = temp_path("metrics");
+    ServeEngine first(platform, test_config());
+    ASSERT_TRUE(run_script(first, script, 0, path, kill_after).stopped_early);
+    ServeEngine resumed(platform, test_config());
+    run_script(resumed, script, ServeEngine::load_checkpoint(path, resumed));
+    EXPECT_EQ(resumed.metrics_json(), uninterrupted)
+        << "killed after " << kill_after << " batches";
+    std::remove(path.c_str());
+  }
+}
+
 TEST(ServeDeterminism, MidDrainCheckpointResumesIdempotently) {
   // Killing inside the drain loop stores the drain op itself; resuming
   // re-enters it over the emptier queues and must converge on the same

@@ -3,11 +3,13 @@
 // (the serve acceptance bar: checkers pass on every serve test).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "hw/presets.hpp"
 #include "serve/engine.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace hetflow::serve {
 namespace {
@@ -173,7 +175,6 @@ TEST(ServeEngine, WeightedFairShareAlternatesByDeficit) {
 
 TEST(ServeEngine, MetricsAndValidationRunsStayClean) {
   ServeConfig config = audited_config();
-  config.metrics = true;
   config.validate = true;
   const hw::Platform platform = hw::make_workstation();
   ServeEngine engine(platform, config);
@@ -185,6 +186,116 @@ TEST(ServeEngine, MetricsAndValidationRunsStayClean) {
   const std::string metrics = engine.metrics_json();
   EXPECT_NE(metrics.find("serve_admitted"), std::string::npos) << metrics;
   EXPECT_NE(metrics.find("lab-x"), std::string::npos) << metrics;
+  EXPECT_TRUE(engine.audit_report().passed())
+      << engine.audit_report().summary();
+}
+
+/// "name{tenant=...}" -> value for every counter of a serve snapshot.
+std::map<std::string, double> serve_counters(const std::string& json) {
+  std::map<std::string, double> out;
+  const util::Json doc = util::Json::parse(json);
+  for (const util::Json& entry : doc.at("metrics").as_array()) {
+    EXPECT_EQ(entry.at("kind").as_string(), "counter");
+    out[entry.at("name").as_string() + "{tenant=" +
+        entry.at("labels").at("tenant").as_string() + "}"] =
+        entry.at("value").as_number();
+  }
+  return out;
+}
+
+TEST(ServeEngine, MetricsSnapshotMatchesTenantLedgers) {
+  // Small caps so every admission outcome occurs: tenant "solo" is
+  // admitted, deferred and rejected; the two tenants named "shared"
+  // publish one series holding the sum of their ledgers; "late", in a
+  // lower priority tier, is deferred, rejected and then moved from the
+  // overflow into its backlog, but never released (no submit-time
+  // admission, no completions); "idle" never submits.
+  ServeConfig config = audited_config();
+  config.batch_limit = 3;
+  config.backlog_cap = 3;
+  config.max_in_flight = 2;
+  config.admission.max_pending = 6;
+  config.admission.defer_cap = 2;
+  config.admission.policy = BackpressurePolicy::Defer;
+  const hw::Platform platform = hw::make_workstation();
+  ServeEngine engine(platform, config);
+  TenantSpec spec;
+  spec.name = "solo";
+  const TenantId solo = engine.add_tenant(spec);
+  spec.name = "shared";
+  const TenantId shared_a = engine.add_tenant(spec);
+  const TenantId shared_b = engine.add_tenant(spec);
+  spec.name = "late";
+  spec.priority = -1;
+  const TenantId late = engine.add_tenant(spec);
+  spec.name = "idle";
+  engine.add_tenant(spec);
+  for (int i = 0; i < 5; ++i) {  // 3 admitted, 2 rejected (backlog cap)
+    engine.submit(solo, small_job());
+  }
+  engine.submit(shared_a, small_job(JobShape::Fanout, 4));
+  engine.submit(shared_a, small_job(JobShape::Fanout, 4));
+  engine.submit(shared_b, small_job(JobShape::Diamond, 4));
+  engine.submit(shared_b, small_job());  // pending at cap 6: deferred
+  engine.submit(late, small_job());      // deferred
+  engine.submit(late, small_job());      // overflow full: rejected
+  engine.run_batch();
+  engine.submit(solo, small_job());
+  engine.submit(late, small_job());  // overflow still full: rejected
+  engine.run_batch();  // drains the overflow first
+
+  EXPECT_GT(engine.stats(solo).rejected, 0u);
+  EXPECT_GT(engine.stats(shared_b).deferred, 0u);
+  EXPECT_GT(engine.stats(late).deferred, 0u);
+  EXPECT_GT(engine.stats(late).rejected, 0u);
+  EXPECT_EQ(engine.stats(late).admitted, 1u);
+  EXPECT_EQ(engine.stats(late).completed, 0u);
+  EXPECT_GT(engine.stats(shared_a).completed, 0u);
+  EXPECT_GT(engine.stats(shared_b).completed, 0u);
+
+  // Expected series: the ledgers summed per name, in tenant-id order,
+  // each present once nonzero (completions and device-seconds once
+  // anything completed).
+  std::map<std::string, double> expected;
+  std::map<std::string, std::uint64_t> completed;
+  for (TenantId t = 0; t < engine.tenant_count(); ++t) {
+    const TenantStats& stats = engine.stats(t);
+    const std::string labels = "{tenant=" + engine.spec(t).name + "}";
+    const auto add = [&](const std::string& name, double value) {
+      if (value > 0.0) {
+        expected[name + labels] += value;
+      }
+    };
+    add("serve_admitted", static_cast<double>(stats.submitted -
+                                              stats.deferred -
+                                              stats.rejected));
+    add("serve_deferred", static_cast<double>(stats.deferred));
+    add("serve_rejected", static_cast<double>(stats.rejected));
+    if (stats.completed > 0) {
+      expected["serve_completed" + labels] +=
+          static_cast<double>(stats.completed);
+      expected["serve_device_seconds" + labels] += stats.device_seconds;
+    }
+  }
+  const std::map<std::string, double> actual =
+      serve_counters(engine.metrics_json());
+  EXPECT_EQ(actual, expected);
+
+  // Spelled out for the series the rules above are easiest to get wrong.
+  const TenantStats& a = engine.stats(shared_a);
+  const TenantStats& b = engine.stats(shared_b);
+  EXPECT_EQ(actual.at("serve_admitted{tenant=shared}"), 3.0);
+  EXPECT_EQ(actual.at("serve_deferred{tenant=shared}"), 1.0);
+  EXPECT_EQ(actual.at("serve_completed{tenant=shared}"),
+            static_cast<double>(a.completed + b.completed));
+  EXPECT_EQ(actual.at("serve_device_seconds{tenant=shared}"),
+            0.0 + a.device_seconds + b.device_seconds);
+  EXPECT_EQ(actual.at("serve_rejected{tenant=solo}"), 2.0);
+  EXPECT_EQ(actual.at("serve_deferred{tenant=late}"), 1.0);
+  EXPECT_EQ(actual.count("serve_admitted{tenant=late}"), 0u);
+  EXPECT_EQ(actual.count("serve_completed{tenant=late}"), 0u);
+  EXPECT_EQ(actual.count("serve_device_seconds{tenant=late}"), 0u);
+  EXPECT_EQ(actual.count("serve_admitted{tenant=idle}"), 0u);
   EXPECT_TRUE(engine.audit_report().passed())
       << engine.audit_report().summary();
 }

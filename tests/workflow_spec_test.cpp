@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "hw/presets.hpp"
 #include "hw/serialize.hpp"
@@ -58,6 +59,53 @@ TEST(WorkflowSpec, Errors) {
   EXPECT_THROW(make_workflow_from_spec("nope:3"), ParseError);
   EXPECT_THROW(make_workflow_from_spec("montage:abc"), ParseError);
   EXPECT_THROW(make_workflow_from_spec("montage:8,,2"), ParseError);
+}
+
+/// The message of the error `spec` throws, which must be of type E.
+template <typename E>
+std::string spec_error(const std::string& spec) {
+  try {
+    make_workflow_from_spec(spec);
+  } catch (const E& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << spec << " did not throw the expected error type";
+  return {};
+}
+
+TEST(WorkflowSpec, NegativeCountIsAParseError) {
+  // Cast unchecked, -3 became a count near 2^64 and the chain never
+  // finished building.
+  EXPECT_EQ(spec_error<ParseError>("chain:-3"),
+            "argument 1 of spec 'chain:-3' must be a non-negative integer, "
+            "got -3");
+  EXPECT_THROW(make_workflow_from_spec("layered:4,4,1.0,-2"), ParseError);
+  EXPECT_THROW(make_platform_from_spec("cpu:-1"), ParseError);
+}
+
+TEST(WorkflowSpec, NonIntegralCountIsAParseError) {
+  EXPECT_EQ(spec_error<ParseError>("epigenomics:2,2.5"),
+            "argument 2 of spec 'epigenomics:2,2.5' must be a non-negative "
+            "integer, got 2.5");
+  EXPECT_THROW(make_workflow_from_spec("montage:nan"), ParseError);
+  EXPECT_THROW(make_workflow_from_spec("chain:1e30"), ParseError);
+  EXPECT_THROW(make_platform_from_spec("hpc:4,0.5"), ParseError);
+  // Scaled suffixes that land on an integer stay counts.
+  EXPECT_EQ(make_workflow_from_spec("bag:1.5K").task_count(), 1500u);
+}
+
+TEST(WorkflowSpec, ZeroChainIsAnInvalidArgument) {
+  EXPECT_EQ(spec_error<InvalidArgument>("chain:0"), "chain needs n >= 1");
+}
+
+TEST(WorkflowSpec, ZeroEpigenomicsLanesIsAnInvalidArgument) {
+  EXPECT_EQ(spec_error<InvalidArgument>("epigenomics:0,2"),
+            "epigenomics needs lanes >= 1 and splits >= 1");
+}
+
+TEST(WorkflowSpec, ZeroCholeskyTilesIsAnInvalidArgument) {
+  EXPECT_EQ(spec_error<InvalidArgument>("cholesky:0"),
+            "cholesky needs nt >= 1");
 }
 
 TEST(PlatformSpec, Presets) {

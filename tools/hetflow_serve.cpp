@@ -120,7 +120,6 @@ int main(int argc, char** argv) {
                                   ? serve::BackpressurePolicy::Defer
                                   : serve::BackpressurePolicy::Reject;
     config.audit = cli.flag("audit");
-    config.metrics = !cli.value("metrics-out").empty();
     config.validate = cli.flag("validate");
     const std::string platform_spec = cli.value("platform");
 
