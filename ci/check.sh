@@ -209,8 +209,9 @@ echo "=== [10/12] line-coverage floors (src/obs, sched, data, util/json, core/ru
 # between):
 #   src/obs/   >= 90% under the obs + trace suites and the JsonWriter
 #              suite the exporters stream through;
-#   src/sched/ >= 95% under the sched_* suites (schedule goldens and
-#              the class-walk differential included), cluster
+#   src/sched/ >= 95% under the sched_* suites (schedule goldens, the
+#              class-walk differential and the graph-view
+#              differential included), cluster
 #              determinism, the cluster placement differential and the
 #              cost-memo oracle;
 #   src/data/  >= 90% under the data_* suites (the eviction
@@ -279,8 +280,8 @@ coverage_floor hf_obs src/obs/ 90 \
 coverage_floor hf_sched src/sched/ 95 \
     sched_policies_test sched_heft_test sched_cpop_test sched_peft_test \
     sched_property_test sched_golden_test sched_placement_test \
-    sched_feasibility_test cluster_determinism_test cluster_placement_test \
-    core_memo_test
+    sched_feasibility_test sched_graph_view_test cluster_determinism_test \
+    cluster_placement_test core_memo_test
 coverage_floor hf_data src/data/ 90 \
     data_handle_test data_transfer_test data_coherence_test \
     data_manager_test data_eviction_test core_prefetch_test \

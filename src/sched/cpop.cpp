@@ -29,24 +29,23 @@ void CpopScheduler::plan(const TaskGraphView& view, PlanBuilder& plan) {
   // serialize the whole graph.
   std::vector<bool> on_cp(view.size(), false);
   {
+    // Positions ascend by task id, so the first match has the smallest.
     std::size_t entry = view.size();
     for (std::size_t i = 0; i < view.size(); ++i) {
-      if (view.graph().in_degree(i) == 0 &&
-          priority[i] >= cp_priority * (1.0 - 1e-9) &&
-          (entry == view.size() ||
-           all_tasks[i]->id() < all_tasks[entry]->id())) {
+      if (view.predecessors(i).empty() &&
+          priority[i] >= cp_priority * (1.0 - 1e-9)) {
         entry = i;
+        break;
       }
     }
     for (std::size_t node = entry; node != view.size();) {
       on_cp[node] = true;
       ++cp_size_;
       std::size_t next = view.size();
-      for (std::size_t succ : view.graph().successors(node)) {
-        if (next == view.size() || priority[succ] > priority[next] ||
-            (priority[succ] == priority[next] &&
-             all_tasks[succ]->id() < all_tasks[next]->id())) {
-          next = succ;
+      // Children ascend by id: a tie keeps the earlier one.
+      for (const TaskGraphView::Edge& succ : view.successors(node)) {
+        if (next == view.size() || priority[succ.task] > priority[next]) {
+          next = succ.task;
         }
       }
       node = next;
@@ -82,9 +81,9 @@ void CpopScheduler::plan(const TaskGraphView& view, PlanBuilder& plan) {
     cp_size_ = 0;
   }
 
-  // Placement in topological order (parents first) with insertion EFT;
-  // CP tasks pinned to the CP device.
-  for (std::size_t i : view.graph().topological_order()) {
+  // Placement in view order (parents first) with insertion EFT; CP tasks
+  // pinned to the CP device.
+  for (std::size_t i = 0; i < view.size(); ++i) {
     PlanBuilder::Choice choice;
     if (on_cp[i]) {
       const hw::Device& device = platform.device(cp_device_);

@@ -1,31 +1,46 @@
 // Shared graph view for the policies that rank the whole DAG (the
-// static planners HEFT, CPOP and PEFT, plus dmdas and critical-path): a
-// dense-index view of the open task graph with edge byte counts and
-// per-task mean execution costs.
+// static planners HEFT, CPOP and PEFT, plus dmdas and critical-path).
+// Dependencies are inferred from submission order, so the open tasks in
+// ascending id order are already topological: the view keeps that order
+// as its positions, stores both edge directions as compressed rows over
+// them and computes each rank in one sweep, with no sort or hash lookup.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/scheduler.hpp"
-#include "util/graph.hpp"
 
 namespace hetflow::sched {
 
 class TaskGraphView {
  public:
-  /// Builds the view over `tasks` (dependencies to tasks outside the set
-  /// — already completed in earlier waves — are ignored).
+  /// The task at the other end of a dependency edge (its position) and
+  /// the bytes of the handles the parent writes and the child reads.
+  struct Edge {
+    std::size_t task;
+    std::uint64_t bytes;
+  };
+
+  /// Builds the view over `tasks`, which must be in ascending id order
+  /// (InternalError otherwise). Dependencies to tasks outside the set —
+  /// completed in earlier waves, or on another node's slice — are
+  /// ignored.
   static TaskGraphView build(const core::SchedContext& ctx,
                              const std::vector<core::Task*>& tasks);
 
   const std::vector<core::Task*>& tasks() const noexcept { return tasks_; }
-  const util::Digraph& graph() const noexcept { return graph_; }
   std::size_t size() const noexcept { return tasks_.size(); }
 
-  /// Bytes flowing over dependency edge a -> b (0 if none recorded).
-  std::uint64_t edge_bytes(std::size_t a, std::size_t b) const;
+  /// Parents of position `i` (all below `i`), in dependency order.
+  std::span<const Edge> predecessors(std::size_t i) const noexcept {
+    return {preds_.data() + pred_first_[i], preds_.data() + pred_first_[i + 1]};
+  }
+  /// Children of position `i` (all above `i`), ascending.
+  std::span<const Edge> successors(std::size_t i) const noexcept {
+    return {succs_.data() + succ_first_[i], succs_.data() + succ_first_[i + 1]};
+  }
 
   /// HEFT upward ranks using mean exec + mean communication costs.
   std::vector<double> upward_ranks(const hw::Platform& platform) const;
@@ -33,13 +48,11 @@ class TaskGraphView {
   std::vector<double> downward_ranks(const hw::Platform& platform) const;
 
  private:
-  static std::uint64_t key(std::size_t a, std::size_t b) noexcept {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
-
   std::vector<core::Task*> tasks_;
-  util::Digraph graph_;
-  std::unordered_map<std::uint64_t, std::uint64_t> edge_bytes_;
+  std::vector<std::size_t> pred_first_;  ///< row starts into preds_, n + 1
+  std::vector<Edge> preds_;
+  std::vector<std::size_t> succ_first_;  ///< row starts into succs_, n + 1
+  std::vector<Edge> succs_;
   std::vector<double> mean_exec_;
 };
 

@@ -5,7 +5,7 @@
 
 namespace hetflow::sched {
 
-// Edge byte counts come from TaskGraphView::edge_bytes — the one
+// Edge byte counts come from TaskGraphView's edge rows — the one
 // implementation shared with CPOP/PEFT, so all three rank identical
 // communication volumes (a private duplicate here once diverged on
 // Redux-mode edges).
@@ -21,7 +21,7 @@ void HeftScheduler::plan(const TaskGraphView& view, PlanBuilder& plan) {
     if (ranks[a] != ranks[b]) {
       return ranks[a] > ranks[b];
     }
-    return tasks[a]->id() < tasks[b]->id();  // deterministic ties
+    return a < b;  // positions ascend by id: ties to the lower id
   });
 
   // EFT placement with insertion.

@@ -24,16 +24,15 @@ void PeftScheduler::plan(const TaskGraphView& view, PlanBuilder& plan) {
     }
   }
 
-  // Optimistic cost table, filled in reverse topological order.
-  const std::vector<std::size_t> order = view.graph().topological_order();
+  // Optimistic cost table, filled children first (view order reversed).
   std::vector<std::vector<double>> oct(view.size(),
                                        std::vector<double>(devices, 0.0));
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const std::size_t t = *it;
+  for (std::size_t t = view.size(); t-- > 0;) {
     for (std::size_t p = 0; p < devices; ++p) {
       double worst = 0.0;
-      for (std::size_t s : view.graph().successors(t)) {
-        const double avg_comm = comm.mean_time_s(view.edge_bytes(t, s));
+      for (const TaskGraphView::Edge& succ : view.successors(t)) {
+        const std::size_t s = succ.task;
+        const double avg_comm = comm.mean_time_s(succ.bytes);
         double best = std::numeric_limits<double>::infinity();
         for (std::size_t q = 0; q < devices; ++q) {
           if (!std::isfinite(exec[s][q])) {
@@ -63,9 +62,9 @@ void PeftScheduler::plan(const TaskGraphView& view, PlanBuilder& plan) {
     all_tasks[i]->set_priority(rank[i]);
   }
 
-  // Placement in topological order (priority fixes only tie-breaking
-  // within a level; topology guarantees parents are placed first).
-  for (std::size_t i : order) {
+  // Placement in view order (priority fixes only tie-breaking within a
+  // level; view order places parents first).
+  for (std::size_t i = 0; i < view.size(); ++i) {
     PlanBuilder::Choice best;
     double best_score = std::numeric_limits<double>::infinity();
     for (const hw::Device& device : platform.devices()) {

@@ -18,13 +18,13 @@ PlanBuilder::PlanBuilder(const hw::Platform& platform,
 double PlanBuilder::earliest_start(std::size_t i, const hw::Device& device,
                                    double exec) const {
   double ready = 0.0;
-  for (std::size_t parent : view_.graph().predecessors(i)) {
-    double arrival = finish_[parent];
+  for (const TaskGraphView::Edge& parent : view_.predecessors(i)) {
+    double arrival = finish_[parent.task];
     const hw::MemoryNodeId src =
-        platform_.device(placed_[parent]).memory_node();
+        platform_.device(placed_[parent.task]).memory_node();
     if (src != device.memory_node()) {
       arrival += platform_.transfer_time_s(src, device.memory_node(),
-                                           view_.edge_bytes(parent, i));
+                                           parent.bytes);
     }
     ready = std::max(ready, arrival);
   }

@@ -1,6 +1,7 @@
-// Directed-graph algorithms shared by the task graph, the HEFT scheduler
-// and the workflow generators: topological order, cycle detection, level
-// assignment, weighted critical path, transitive reduction, reachability.
+// Directed-graph algorithms over workflow task graphs (depth, width and
+// characterization, and the DAG checker): topological order, cycle
+// detection, level assignment, weighted critical path, transitive
+// reduction, reachability.
 //
 // Nodes are dense indices 0..n-1; the caller owns any payload mapping.
 #pragma once
@@ -63,18 +64,6 @@ class Digraph {
   /// of edges removed. Duplicate edges collapse to one.
   std::size_t transitive_reduction();
 
-  /// Upward rank per node: rank(n) = node_weight[n] + max over successors s
-  /// of (edge_weight(n, s) + rank(s)). The classic HEFT priority. DAG only.
-  template <typename EdgeWeightFn>
-  std::vector<double> upward_ranks(const std::vector<double>& node_weight,
-                                   EdgeWeightFn edge_weight) const;
-
-  /// Downward rank: rank(n) = max over predecessors p of
-  /// (rank(p) + node_weight[p] + edge_weight(p, n)). DAG only.
-  template <typename EdgeWeightFn>
-  std::vector<double> downward_ranks(const std::vector<double>& node_weight,
-                                     EdgeWeightFn edge_weight) const;
-
  private:
   std::vector<std::vector<std::size_t>> succ_;
   std::vector<std::vector<std::size_t>> pred_;
@@ -117,36 +106,6 @@ double Digraph::critical_path(const std::vector<double>& node_weight,
     std::reverse(path->begin(), path->end());
   }
   return best;
-}
-
-template <typename EdgeWeightFn>
-std::vector<double> Digraph::upward_ranks(
-    const std::vector<double>& node_weight, EdgeWeightFn edge_weight) const {
-  const std::vector<std::size_t> order = topological_order();
-  std::vector<double> rank(node_count(), 0.0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const std::size_t node = *it;
-    double best = 0.0;
-    for (std::size_t succ : successors(node)) {
-      best = std::max(best, edge_weight(node, succ) + rank[succ]);
-    }
-    rank[node] = node_weight[node] + best;
-  }
-  return rank;
-}
-
-template <typename EdgeWeightFn>
-std::vector<double> Digraph::downward_ranks(
-    const std::vector<double>& node_weight, EdgeWeightFn edge_weight) const {
-  const std::vector<std::size_t> order = topological_order();
-  std::vector<double> rank(node_count(), 0.0);
-  for (std::size_t node : order) {
-    for (std::size_t succ : successors(node)) {
-      rank[succ] = std::max(
-          rank[succ], rank[node] + node_weight[node] + edge_weight(node, succ));
-    }
-  }
-  return rank;
 }
 
 }  // namespace hetflow::util

@@ -62,7 +62,7 @@ class StableVector {
   template <typename... Args>
   T& emplace_back(Args&&... args) {
     if (size_ == chunks_.size() * ChunkElems) {
-      chunks_.push_back(make_chunk());
+      chunks_.push_back(make_chunk(!chunks_.empty()));
     }
     T* fresh = slot(size_);
     ::new (static_cast<void*>(fresh)) T(std::forward<Args>(args)...);
@@ -119,6 +119,16 @@ class StableVector {
   // thousands of first-touch faults plus a dTLB working set the
   // hardware cannot hold — measurable on the 10^6-task bench. Callers
   // opt in simply by sizing ChunkElems past the threshold.
+  //
+  // Only a pool's second and later chunks take the advice. A pool that
+  // fits one chunk (a serve batch's Runtime: a few thousand tasks in a
+  // 4 MiB chunk) touches a fraction of it, and a process that builds one
+  // such pool after another gets its chunks back from the malloc heap,
+  // where the advice outlives the block: freed chunk ranges turned into
+  // huge pages under whatever later allocation landed there, so peak RSS
+  // followed how many huge pages the kernel could hand out at the time
+  // (26 vs 63 MiB between runs of perfbench serve-tenants; 25.5 MiB in
+  // every run, with or without huge pages, once first chunks go unadvised).
   static constexpr std::size_t kHugeAlign = std::size_t{2} << 20;
   static constexpr bool kHugeChunks =
 #if defined(__linux__)
@@ -138,7 +148,7 @@ class StableVector {
   };
   using ChunkPtr = std::unique_ptr<Chunk, ChunkDeleter>;
 
-  static ChunkPtr make_chunk() {
+  static ChunkPtr make_chunk([[maybe_unused]] bool advise_huge) {
     if constexpr (kHugeChunks) {
       const std::size_t bytes =
           (sizeof(Chunk) + kHugeAlign - 1) / kHugeAlign * kHugeAlign;
@@ -147,7 +157,9 @@ class StableVector {
         throw std::bad_alloc();
       }
 #if defined(__linux__)
-      (void)madvise(raw, bytes, MADV_HUGEPAGE);  // hint; failure is fine
+      if (advise_huge) {
+        (void)madvise(raw, bytes, MADV_HUGEPAGE);  // hint; failure is fine
+      }
 #endif
       return ChunkPtr(::new (raw) Chunk);
     } else {

@@ -28,6 +28,17 @@ double tile_flops(const char* kind, std::size_t tile_n) {
   throw InvalidArgument("unknown tile kernel kind");
 }
 
+/// A tiled factorization needs at least one tile of at least one element:
+/// a zero tile size would run every kernel on no data.
+void require_tiles(const char* kind, std::size_t nt, std::size_t tile_n) {
+  if (nt == 0) {
+    throw InvalidArgument(std::string(kind) + " needs nt >= 1");
+  }
+  if (tile_n == 0) {
+    throw InvalidArgument(std::string(kind) + " needs tile_n >= 1");
+  }
+}
+
 std::uint64_t tile_bytes(std::size_t tile_n) {
   return static_cast<std::uint64_t>(tile_n) * tile_n * sizeof(double);
 }
@@ -79,9 +90,7 @@ std::size_t cholesky_task_count(std::size_t nt) noexcept {
 }
 
 Workflow make_cholesky(std::size_t nt, std::size_t tile_n) {
-  if (nt == 0) {
-    throw InvalidArgument("cholesky needs nt >= 1");
-  }
+  require_tiles("cholesky", nt, tile_n);
   Workflow w(util::format("cholesky-%zux%zu", nt, nt));
   TileSsa tiles(w, nt, tile_n);
   for (std::size_t k = 0; k < nt; ++k) {
@@ -120,9 +129,7 @@ Workflow make_cholesky(std::size_t nt, std::size_t tile_n) {
 }
 
 Workflow make_lu(std::size_t nt, std::size_t tile_n) {
-  if (nt == 0) {
-    throw InvalidArgument("lu needs nt >= 1");
-  }
+  require_tiles("lu", nt, tile_n);
   Workflow w(util::format("lu-%zux%zu", nt, nt));
   TileSsa tiles(w, nt, tile_n);
   for (std::size_t k = 0; k < nt; ++k) {
@@ -163,9 +170,7 @@ Workflow make_lu(std::size_t nt, std::size_t tile_n) {
 std::size_t submit_cholesky_inplace(core::Runtime& runtime, std::size_t nt,
                                     std::size_t tile_n,
                                     const CodeletLibrary& library) {
-  if (nt == 0) {
-    throw InvalidArgument("cholesky needs nt >= 1");
-  }
+  require_tiles("cholesky", nt, tile_n);
   using data::AccessMode;
   const std::uint64_t bytes = tile_bytes(tile_n);
   std::vector<std::vector<data::DataId>> tile(nt,

@@ -19,8 +19,18 @@ struct Spec {
   std::string kind;
   std::vector<double> args;
 
+  /// A real quantity (flops, a ratio, a spread): finite and non-negative.
   double arg(std::size_t index, double fallback) const {
-    return index < args.size() ? args[index] : fallback;
+    if (index >= args.size()) {
+      return fallback;
+    }
+    const double value = args[index];
+    if (!(value >= 0.0 && std::isfinite(value))) {
+      throw ParseError(util::format(
+          "argument %zu of spec '%s' must be a non-negative number, got %g",
+          index + 1, text.c_str(), value));
+    }
+    return value;
   }
   /// A count, seed or byte size: a non-negative integer that fits.
   std::size_t arg_n(std::size_t index, std::size_t fallback) const {

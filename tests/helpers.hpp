@@ -21,6 +21,49 @@
 
 namespace hetflow::testing {
 
+/// Base for test decorators of a scheduler: forwards every Scheduler
+/// call to the wrapped policy, so a decorator overrides only the calls
+/// it observes.
+class ForwardingScheduler : public core::Scheduler {
+ public:
+  explicit ForwardingScheduler(std::unique_ptr<core::Scheduler> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  bool requires_full_graph() const noexcept override {
+    return inner_->requires_full_graph();
+  }
+  void set_partial_graph(bool partial) noexcept override {
+    inner_->set_partial_graph(partial);
+  }
+  void attach(core::SchedContext& ctx) override {
+    core::Scheduler::attach(ctx);
+    inner_->attach(ctx);
+  }
+  void prepare(const std::vector<core::Task*>& all_tasks) override {
+    inner_->prepare(all_tasks);
+  }
+  void on_task_ready(core::Task& task) override { inner_->on_task_ready(task); }
+  core::Task* on_device_idle(const hw::Device& device) override {
+    return inner_->on_device_idle(device);
+  }
+  bool has_retained_work() const noexcept override {
+    return inner_->has_retained_work();
+  }
+  void on_task_complete(const core::Task& task) override {
+    inner_->on_task_complete(task);
+  }
+  void on_task_failed(const core::Task& task, hw::DeviceId device) override {
+    inner_->on_task_failed(task, device);
+  }
+
+ protected:
+  core::Scheduler& inner() noexcept { return *inner_; }
+
+ private:
+  std::unique_ptr<core::Scheduler> inner_;
+};
+
 inline core::CodeletPtr cpu_only_codelet(double efficiency = 0.5) {
   return core::Codelet::make("cpu-only",
                              {{hw::DeviceType::Cpu, efficiency}});

@@ -28,6 +28,7 @@
 
 #include "core/runtime.hpp"
 #include "core/scheduler.hpp"
+#include "helpers.hpp"
 #include "perf/energy_model.hpp"
 #include "perf/history_model.hpp"
 #include "util/strings.hpp"
@@ -66,10 +67,10 @@ inline double direct_exec_seconds(const core::Task& task,
   return device.launch_overhead_s() + pure * device.time_scale(index);
 }
 
-class MemoOracle final : public core::Scheduler {
+class MemoOracle final : public ForwardingScheduler {
  public:
   explicit MemoOracle(std::unique_ptr<core::Scheduler> inner)
-      : inner_(std::move(inner)) {}
+      : ForwardingScheduler(std::move(inner)) {}
 
   /// Points the oracle at the runtime's history model; call right after
   /// constructing the Runtime, before wait_all(). `use_history` must
@@ -83,33 +84,10 @@ class MemoOracle final : public core::Scheduler {
   std::uint64_t mismatches() const noexcept { return mismatches_; }
   const std::string& first_mismatch() const noexcept { return first_; }
 
-  std::string name() const override { return inner_->name(); }
-  bool requires_full_graph() const noexcept override {
-    return inner_->requires_full_graph();
-  }
-  void set_partial_graph(bool partial) noexcept override {
-    inner_->set_partial_graph(partial);
-  }
   void attach(core::SchedContext& ctx) override {
     core::Scheduler::attach(ctx);
     context_ = std::make_unique<OracleContext>(ctx, *this);
-    inner_->attach(*context_);
-  }
-  void prepare(const std::vector<core::Task*>& all_tasks) override {
-    inner_->prepare(all_tasks);
-  }
-  void on_task_ready(core::Task& task) override { inner_->on_task_ready(task); }
-  core::Task* on_device_idle(const hw::Device& device) override {
-    return inner_->on_device_idle(device);
-  }
-  bool has_retained_work() const noexcept override {
-    return inner_->has_retained_work();
-  }
-  void on_task_complete(const core::Task& task) override {
-    inner_->on_task_complete(task);
-  }
-  void on_task_failed(const core::Task& task, hw::DeviceId device) override {
-    inner_->on_task_failed(task, device);
+    inner().attach(*context_);
   }
 
  private:
@@ -222,7 +200,6 @@ class MemoOracle final : public core::Scheduler {
     }
   }
 
-  std::unique_ptr<core::Scheduler> inner_;
   std::unique_ptr<OracleContext> context_;
   const perf::HistoryModel* history_ = nullptr;
   bool bound_ = false;

@@ -5,7 +5,9 @@
 
 #include <array>
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -226,6 +228,51 @@ TEST(StableVector, NonTrivialElementsDestroyed) {
   }
   EXPECT_EQ(*counter, 10);
 }
+
+#if defined(__linux__)
+/// The VmFlags line of the mapping in /proc/self/smaps that holds `p`.
+std::string vm_flags_at(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    char dash = 0;
+    std::istringstream header(line);
+    if (header >> std::hex >> lo >> dash >> hi && dash == '-') {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return line;
+    }
+  }
+  return "";
+}
+
+TEST(StableVector, OnlyChunksAfterTheFirstAreAdvisedToHugePages) {
+  // 40 MiB chunks: past glibc's largest mmap threshold, so each chunk is
+  // a mapping of its own and its flags are the pool's advice alone.
+  // Elements leave their storage unwritten, so the pool stays out of RSS.
+  struct Untouched {
+    Untouched() {}  // NOLINT(modernize-use-equals-default) — no zeroing
+    std::uint64_t value;
+  };
+  constexpr std::size_t kChunk = std::size_t{5} << 20;
+  StableVector<Untouched, kChunk> pool;
+  while (pool.size() <= kChunk) {
+    pool.emplace_back();
+  }
+  const std::string first = vm_flags_at(&pool[0]);
+  const std::string second = vm_flags_at(&pool[kChunk]);
+  ASSERT_FALSE(first.empty());
+  ASSERT_FALSE(second.empty());
+  EXPECT_EQ(first.find(" hg"), std::string::npos) << first;
+  if (std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled")) {
+    EXPECT_NE(second.find(" hg"), std::string::npos) << second;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace hetflow::util

@@ -143,39 +143,6 @@ TEST(Digraph, TransitiveReductionKeepsDiamond) {
   EXPECT_EQ(g.edge_count(), 4u);
 }
 
-TEST(Digraph, UpwardRanksDiamond) {
-  const Digraph g = diamond();
-  const auto zero_edge = [](std::size_t, std::size_t) { return 0.0; };
-  const auto ranks = g.upward_ranks({1.0, 5.0, 2.0, 1.0}, zero_edge);
-  EXPECT_DOUBLE_EQ(ranks[3], 1.0);
-  EXPECT_DOUBLE_EQ(ranks[1], 6.0);
-  EXPECT_DOUBLE_EQ(ranks[2], 3.0);
-  EXPECT_DOUBLE_EQ(ranks[0], 7.0);
-}
-
-TEST(Digraph, DownwardRanksDiamond) {
-  const Digraph g = diamond();
-  const auto zero_edge = [](std::size_t, std::size_t) { return 0.0; };
-  const auto ranks = g.downward_ranks({1.0, 5.0, 2.0, 1.0}, zero_edge);
-  EXPECT_DOUBLE_EQ(ranks[0], 0.0);
-  EXPECT_DOUBLE_EQ(ranks[1], 1.0);
-  EXPECT_DOUBLE_EQ(ranks[2], 1.0);
-  EXPECT_DOUBLE_EQ(ranks[3], 6.0);
-}
-
-TEST(Digraph, UpwardRankIsCriticalPathAtSource) {
-  // For a single-source DAG, rank_u(source) == critical path length.
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  const std::vector<double> w = {2.0, 3.0, 7.0, 1.0, 4.0};
-  const auto zero_edge = [](std::size_t, std::size_t) { return 0.0; };
-  EXPECT_DOUBLE_EQ(g.upward_ranks(w, zero_edge)[0], g.critical_path(w));
-}
-
 class RandomDagSweep : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   /// Random DAG with edges only from lower to higher ids (guaranteed

@@ -108,6 +108,26 @@ TEST(WorkflowSpec, ZeroCholeskyTilesIsAnInvalidArgument) {
             "cholesky needs nt >= 1");
 }
 
+TEST(WorkflowSpec, NegativeOrNanRealArgumentIsAParseError) {
+  // Passed through unchecked, -1 flops reached Workflow::add_task's
+  // internal invariant instead of failing as bad input.
+  EXPECT_EQ(spec_error<ParseError>("chain:5,-1"),
+            "argument 2 of spec 'chain:5,-1' must be a non-negative number, "
+            "got -1");
+  EXPECT_EQ(spec_error<ParseError>("bag:4,nan"),
+            "argument 2 of spec 'bag:4,nan' must be a non-negative number, "
+            "got nan");
+  EXPECT_THROW(make_workflow_from_spec("layered:4,4,-0.5"), ParseError);
+  EXPECT_THROW(make_workflow_from_spec("forkjoin:4,2,nan"), ParseError);
+}
+
+TEST(WorkflowSpec, ZeroTileSizeIsAnInvalidArgument) {
+  // A zero tile size used to build every kernel with 0 GFLOP on 0 bytes.
+  EXPECT_EQ(spec_error<InvalidArgument>("cholesky:4,0"),
+            "cholesky needs tile_n >= 1");
+  EXPECT_EQ(spec_error<InvalidArgument>("lu:3,0"), "lu needs tile_n >= 1");
+}
+
 TEST(PlatformSpec, Presets) {
   EXPECT_EQ(make_platform_from_spec("workstation").name(), "workstation");
   EXPECT_EQ(make_platform_from_spec("edge").name(), "edge-node");
